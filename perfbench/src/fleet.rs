@@ -45,16 +45,31 @@ fn budget(
     }
 }
 
+/// Steps of two low-discrepancy (Kronecker) sequences: the fractional
+/// parts of the golden ratio and of the square root of two.
+const GOLDEN: f64 = 0.618_033_988_749_895;
+const SQRT2: f64 = 0.414_213_562_373_095;
+
+/// The `i`-th point in `[0, 1)` of the sequence with this step, rotated
+/// by `offset`. Every prefix covers `[0, 1)` evenly.
+fn kronecker(offset: f64, step: f64, i: usize) -> f64 {
+    (offset + step * i as f64).fract()
+}
+
 /// Everyday marketplace fleet: mixed deadline and budget campaigns, no
-/// two with the same parameters.
+/// two with the same parameters. Deadline sizes (N 20–150, T 16–32)
+/// come from seed-rotated low-discrepancy sequences, so a batch taken
+/// from the front of the fleet costs about the same solver work
+/// whatever the seed; everything else is drawn at random.
 pub fn marketplace(rng: &mut Rng, deadlines: usize, budgets: usize) -> Vec<CampaignSpec> {
     let mut out = Vec::with_capacity(deadlines + budgets);
-    for _ in 0..deadlines {
-        let n = rng.range(20, 150) as u32;
+    let (n_offset, t_offset) = (rng.unit(), rng.unit());
+    for i in 0..deadlines {
+        let n = 20 + (131.0 * kronecker(n_offset, GOLDEN, i)) as u32;
         let per_hour = 400.0 + 2600.0 * rng.unit();
         out.push(deadline(
             n,
-            rng.range(16, 32) as usize,
+            16 + (17.0 * kronecker(t_offset, SQRT2, i)) as usize,
             per_hour,
             rng.range(20, 40) as u32,
             (
@@ -84,18 +99,22 @@ pub fn storm(count: usize, n: u32, intervals: usize) -> Vec<CampaignSpec> {
 
 /// The batch of distinct solves: deadline problems with N in 200–5000
 /// and T in 24–48 at distinct arrival rates (so no two share a pmf
-/// row), plus paper-scale budget MDPs (N = 200, B = 2500).
+/// row), plus paper-scale budget MDPs (N = 200, B = 2500). The sizes
+/// are fixed by rank with a small seeded jitter on N, so the batch's
+/// solver work, which its largest problems dominate, barely depends on
+/// the seed; the arrival rates are drawn at random.
 pub fn batch(rng: &mut Rng, deadlines: usize, budgets: usize) -> Vec<CampaignSpec> {
     let mut out = Vec::with_capacity(deadlines + budgets);
     for i in 0..deadlines {
-        // Log-uniform N, spread evenly so every batch spans the range.
-        let frac = (i as f64 + rng.unit()) / deadlines as f64;
-        let n = (200.0 * 25f64.powf(frac)).round() as u32;
+        // Log-spaced N from 200 to 5000, each moved by up to a tenth of
+        // the spacing.
+        let frac = (i as f64 + 0.2 * (rng.unit() - 0.5)) / (deadlines - 1) as f64;
+        let n = (200.0 * 25f64.powf(frac.clamp(0.0, 1.0))).round() as u32;
         // Enough arrivals to finish the batch at mid-grid prices.
         let per_hour = f64::from(n) * (60.0 + 40.0 * rng.unit()) + rng.unit();
         out.push(deadline(
             n,
-            rng.range(24, 48) as usize,
+            24 + (25.0 * kronecker(0.0, GOLDEN, i)) as usize,
             per_hour,
             40,
             (15.0, -0.39, 2000.0),
@@ -187,16 +206,24 @@ pub fn observation_body(obs: &CampaignObservation) -> String {
     }
 }
 
-/// The observation stream: campaigns visited round-robin in a seeded
-/// order. A deadline visit reports the campaign's next interval and
-/// stops short of the horizon; a budget visit reports progress until half
-/// the batch or budget is used, then empty ticks. No campaign exhausts.
+/// The observation stream. Each visit goes to a campaign drawn at random
+/// from the less recently visited half of those with visits left. The
+/// draws keep the every-third-report re-solves of an identical fleet out
+/// of lockstep, and a campaign's reports stay at least half a round of
+/// visits apart, so two of them are never in the pipeline at once (the
+/// server may run pipelined requests concurrently, and a deadline
+/// campaign refuses an interval reported out of order). A deadline visit
+/// reports the campaign's next interval and stops short of the horizon;
+/// a budget visit reports progress until half the batch or budget is
+/// used, then empty ticks.
 pub struct ObservationStream {
-    order: Vec<usize>,
     next_interval: Vec<usize>,
     /// Completions and cents a budget campaign has reported.
     reported: Vec<(u64, usize)>,
-    cursor: usize,
+    /// Visit number of each campaign's last visit; before the first,
+    /// distinct negative numbers in a seeded order.
+    last_visit: Vec<i64>,
+    visits: i64,
     rng: Rng,
     /// Storm campaigns report no completions at all, so every
     /// correction sits exactly on the adaptive clamp; plain ones report
@@ -211,11 +238,15 @@ impl ObservationStream {
         for i in (1..order.len()).rev() {
             order.swap(i, rng.range(0, i as u64) as usize);
         }
+        let mut last_visit = vec![0; fleet.len()];
+        for (rank, &c) in order.iter().enumerate() {
+            last_visit[c] = rank as i64 - fleet.len() as i64;
+        }
         Self {
-            order,
             next_interval: vec![0; fleet.len()],
             reported: vec![(0, 0); fleet.len()],
-            cursor: 0,
+            last_visit,
+            visits: 0,
             rng,
             storm,
         }
@@ -224,42 +255,49 @@ impl ObservationStream {
     /// The next `(campaign index, observation)`, or `None` once every
     /// campaign has used its visits.
     pub fn next(&mut self, fleet: &[CampaignSpec]) -> Option<(usize, CampaignObservation)> {
-        for _ in 0..self.order.len() {
-            let c = self.order[self.cursor];
-            self.cursor = (self.cursor + 1) % self.order.len();
-            let obs = match &fleet[c] {
+        let mut open: Vec<usize> = (0..fleet.len())
+            .filter(|&c| match &fleet[c] {
                 CampaignSpec::Deadline { problem, .. } => {
-                    if self.next_interval[c] + 2 >= problem.n_intervals() {
-                        continue;
-                    }
-                    let interval = self.next_interval[c];
-                    self.next_interval[c] += 1;
-                    CampaignObservation::Deadline {
-                        interval,
-                        completions: if self.storm { 0 } else { self.rng.range(0, 2) },
-                        posted: None,
-                    }
+                    self.next_interval[c] + 2 < problem.n_intervals()
                 }
-                CampaignSpec::Budget { problem } => {
-                    let (done, spent) = self.reported[c];
-                    let mut completions = self.rng.range(0, 1);
-                    let mut cents = completions as usize * self.rng.range(1, 25) as usize;
-                    if 2 * (done + completions) > u64::from(problem.n_tasks)
-                        || 2 * (spent + cents) as u64 > problem.budget as u64
-                    {
-                        (completions, cents) = (0, 0);
-                    }
-                    self.reported[c] = (done + completions, spent + cents);
-                    CampaignObservation::Budget {
-                        completions,
-                        spent_cents: cents,
-                        posted: None,
-                        offers: None,
-                    }
-                }
-            };
-            return Some((c, obs));
+                CampaignSpec::Budget { .. } => true,
+            })
+            .collect();
+        if open.is_empty() {
+            return None;
         }
-        None
+        open.sort_unstable_by_key(|&c| self.last_visit[c]);
+        let c = open[self.rng.range(0, (open.len() as u64 - 1) / 2) as usize];
+        self.visits += 1;
+        self.last_visit[c] = self.visits;
+        let obs = match &fleet[c] {
+            CampaignSpec::Deadline { .. } => {
+                let interval = self.next_interval[c];
+                self.next_interval[c] += 1;
+                CampaignObservation::Deadline {
+                    interval,
+                    completions: if self.storm { 0 } else { self.rng.range(0, 2) },
+                    posted: None,
+                }
+            }
+            CampaignSpec::Budget { problem } => {
+                let (done, spent) = self.reported[c];
+                let mut completions = self.rng.range(0, 1);
+                let mut cents = completions as usize * self.rng.range(1, 25) as usize;
+                if 2 * (done + completions) > u64::from(problem.n_tasks)
+                    || 2 * (spent + cents) as u64 > problem.budget as u64
+                {
+                    (completions, cents) = (0, 0);
+                }
+                self.reported[c] = (done + completions, spent + cents);
+                CampaignObservation::Budget {
+                    completions,
+                    spent_cents: cents,
+                    posted: None,
+                    offers: None,
+                }
+            }
+        };
+        Some((c, obs))
     }
 }

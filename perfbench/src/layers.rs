@@ -503,12 +503,6 @@ pub fn per_layer(
         tally.scrape.len(),
     );
     out.put(
-        "trace.overhead.price_p50",
-        traced.overhead,
-        "ratio",
-        tally.price.len(),
-    );
-    out.put(
         "gen.late_us.p99",
         us(tally.late.quantile(0.99)),
         "us",

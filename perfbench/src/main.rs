@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! cargo run --release --manifest-path perfbench/Cargo.toml -- \
-//!     --workload quote-steady --seed 1 --seconds 30 --trace 0
+//!     --workload quote-steady --seed 1 --seconds 25 --trace 0
 //! ```
 //!
 //! It prints provenance and every metric with its sample count, then,
@@ -24,7 +24,7 @@ use stats::{beyond, Samples, Window};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
-use wire::Mode;
+use wire::{Kind, Mode};
 use workload::{Inputs, Plan, Probe, Stack, Tally};
 
 /// The end-to-end metrics `BENCHMARK.json` bounds: those steady enough
@@ -33,8 +33,11 @@ use workload::{Inputs, Plan, Probe, Stack, Tally};
 /// metric too, and the traced run reports them.
 const BOUNDED: [&str; 4] = ["setup_s", "batch_cpu_s", "serve_cpu_us", "peak_rss_mb"];
 
-/// Batch-round clusters and serve segments the window alternates.
-const SEGMENTS: usize = 4;
+/// Batch-round clusters and serve segments the window alternates. Host
+/// contention comes and goes over seconds, and under it the program
+/// handles queued requests in batches and spends less CPU on each, so
+/// `serve_cpu_us` is the median over short segments.
+const SEGMENTS: usize = 8;
 
 /// Requests per chunk behind a reported percentile: enough for ten
 /// beyond a p99.
@@ -110,24 +113,37 @@ impl Report {
 /// in its fast state.
 const CALIBRATION_ITERS: usize = 700;
 
-/// The speed the CPU-time metrics are expressed at: a host on which the
-/// calibration loop takes 1 ms.
+/// The speed the CPU-time metrics are expressed at: a host on which one
+/// calibration sample takes 1 ms.
 const CALIBRATION_REF_NS: f64 = 1e6;
 
 /// Thread CPU time of a fixed compute loop: how fast the host runs this
-/// process right now. Its speed swings by about 1.5× over seconds to
+/// process right now. Its speed swings by about 1.5x over seconds to
 /// tens of minutes (neighbours on shared cores), which moves every CPU
-/// time by the same factor.
-fn calibration_ns() -> u64 {
-    let start = wire::thread_cpu_ns();
-    let mut row = [0f64; 256];
-    for _ in 0..CALIBRATION_ITERS {
-        for i in 1..row.len() {
-            row[i] = (row[i - 1] * 0.999 + i as f64).min(row[i] + 1.0);
+/// time by the same factor. The loop is a dependent min/multiply-add
+/// chain over a 2 KiB row, the shape of the kernels' backward
+/// induction. It touches no memory beyond that row, so what the program
+/// leaves in the caches does not change its time.
+#[derive(Default)]
+struct Calibration(Samples);
+
+impl Calibration {
+    fn sample(&mut self) {
+        let start = wire::thread_cpu_ns();
+        let mut row = [0f64; 256];
+        for _ in 0..CALIBRATION_ITERS {
+            for i in 1..row.len() {
+                row[i] = (row[i - 1] * 0.999 + i as f64).min(row[i] + 1.0);
+            }
+            std::hint::black_box(&mut row);
         }
-        std::hint::black_box(&mut row);
+        self.0.push(wire::thread_cpu_ns() - start);
     }
-    wire::thread_cpu_ns() - start
+
+    /// The factor that expresses a CPU time at the reference speed.
+    fn scale(&self) -> f64 {
+        CALIBRATION_REF_NS / self.0.quantile(0.5).unwrap_or(1).max(1) as f64
+    }
 }
 
 fn peak_rss_mb() -> f64 {
@@ -211,22 +227,27 @@ fn run(plan: &Plan, args: &Args) -> (Report, u64, u64) {
     let replica = plan.replica();
     let mut inputs = Inputs::new(plan, Arc::clone(&replica));
 
-    // Calibration samples, taken before the setups and at every segment.
-    let mut calibration = Samples::default();
-    for _ in 0..3 {
-        calibration.push(calibration_ns());
-    }
+    // Calibration samples are taken before every setup and batch round
+    // and around every serve segment, so that they follow the host
+    // through the run; their median scales every CPU time.
+    let mut calibration = Calibration::default();
 
-    // Setup, repeated; the last stack serves.
+    // Setup, repeated; the last stack serves. `setup_s` is its process
+    // CPU time (all threads), which a host that takes the vCPUs away
+    // does not inflate; the wall time is reported beside it.
     let mut setup = Samples::default();
+    let mut setup_wall = Samples::default();
     let mut stack = None;
-    for _ in 0..plan.setups {
+    for _ in 0..workload::SETUPS {
         if let Some(old) = stack.take() {
             Stack::shutdown(old);
         }
+        calibration.sample();
         let started = Instant::now();
+        let cpu_before = wire::process_cpu_ns();
         stack = Some(Stack::spawn(plan));
-        setup.push(started.elapsed().as_nanos() as u64);
+        setup.push(wire::process_cpu_ns() - cpu_before);
+        setup_wall.push(started.elapsed().as_nanos() as u64);
     }
     let stack = stack.expect("at least one setup");
     let bench_plane = Arc::new(ft_metrics::MetricsRegistry::new());
@@ -240,7 +261,7 @@ fn run(plan: &Plan, args: &Args) -> (Report, u64, u64) {
     // the knee. Interleaving spreads both measurements over the whole
     // window, so a few seconds of host noise land in one segment of
     // each instead of all of one.
-    let knee_ns = (window_ns as f64 * plan.knee_share) as u64;
+    let knee_ns = (window_ns as f64 * workload::KNEE_SHARE) as u64;
     let batch_ns = (window_ns as f64 * plan.batch_share) as u64;
     let serve_ns = window_ns
         .saturating_sub(batch_ns + knee_ns)
@@ -252,17 +273,17 @@ fn run(plan: &Plan, args: &Args) -> (Report, u64, u64) {
     let mut round_objectives = Vec::new();
     let mut tally = Tally::default();
     let mut traced = spans::TracedRun::default();
-    let (mut untraced_part, mut traced_part) = (Tally::default(), Tally::default());
-    let mut serve_cpu_ns = 0u64;
+    let (mut untraced_price, mut traced_price) = (Samples::default(), Samples::default());
+    // Program CPU per answered request, one sample per serve segment.
+    let (mut serve_cpu, mut serve_wall_ns) = (Samples::default(), 0u64);
+    let mut behind = Vec::with_capacity(SEGMENTS);
     for segment in 0..SEGMENTS {
-        for _ in 0..3 {
-            calibration.push(calibration_ns());
-        }
         let started = Instant::now();
         let mut n = 0;
         while n < workload::MIN_ROUNDS.div_ceil(SEGMENTS)
             || (started.elapsed().as_nanos() as u64) < batch_ns / SEGMENTS as u64
         {
+            calibration.sample();
             let cpu_before = wire::process_cpu_ns();
             let (secs, objectives) = workload::batch_round(plan, &stack.planes[0]);
             rounds_cpu.push(wire::process_cpu_ns() - cpu_before);
@@ -270,13 +291,10 @@ fn run(plan: &Plan, args: &Args) -> (Report, u64, u64) {
             round_objectives.push(objectives);
             n += 1;
         }
-        // The traced run tags 1 request in 16 in every other segment;
-        // the two halves' price p50s give the tracing overhead.
-        let trace_every = if args.trace && segment % 2 == 1 {
-            16
-        } else {
-            0
-        };
+        // The traced run tags 1 request in 16; the price p50s of the
+        // tagged and the untagged requests, sent interleaved on the same
+        // connection, give the tracing overhead.
+        let trace_every = if args.trace { 16 } else { 0 };
         let span = serve_ns / SEGMENTS as u64;
         let (a, b) = inputs.phase(
             plan,
@@ -285,48 +303,66 @@ fn run(plan: &Plan, args: &Args) -> (Report, u64, u64) {
             plan.price_rate,
             trace_every,
         );
-        let cpu_before = wire::process_cpu_ns();
-        let (oa, ob) = workload::run_phase(stack.addr, &a, &b, Mode::Open, Mode::Open);
-        serve_cpu_ns += wire::process_cpu_ns() - cpu_before;
+        calibration.sample();
+        let (started, cpu_before) = (Instant::now(), wire::process_cpu_ns());
+        let phase = workload::run_phase(stack.addr, &a, &b, Mode::Open, Mode::Open);
+        serve_wall_ns += started.elapsed().as_nanos() as u64;
+        // The program's CPU: the process's, less the generator threads'.
+        let cpu_ns = (wire::process_cpu_ns() - cpu_before).saturating_sub(phase.generator_cpu_ns);
+        calibration.sample();
+        let (oa, ob) = (phase.a, phase.b);
         inputs.mark_applied(&b, &ob);
-        let part = if trace_every > 0 {
-            &mut traced_part
-        } else {
-            &mut untraced_part
-        };
-        part.add(&a, &oa, false);
-        part.add(&b, &ob, false);
+        let (sends_before, answered_before) = (tally.sends.len(), tally.answered_total());
         tally.add(&a, &oa, false);
         tally.add(&b, &ob, false);
-        if trace_every > 0 {
+        behind.push(tally.late_head_tail(sends_before));
+        serve_cpu.push(cpu_ns / (tally.answered_total() - answered_before).max(1));
+        if args.trace {
+            for o in oa.iter().filter(|o| o.ok() && a[o.op].kind == Kind::Price) {
+                if a[o.op].trace_id != 0 {
+                    traced_price.push(o.latency_ns());
+                } else {
+                    untraced_price.push(o.latency_ns());
+                }
+            }
             traced.record_requests(&a, &oa);
             traced.record_requests(&b, &ob);
         }
     }
-    traced.overhead = traced_part.price.quantile(0.5).unwrap_or(0) as f64
-        / untraced_part.price.quantile(0.5).unwrap_or(1).max(1) as f64;
-    // Setup time and CPU costs, expressed at the reference host speed.
-    let calibration_median = calibration.quantile(0.5).unwrap_or(1).max(1) as f64;
-    let scale = CALIBRATION_REF_NS / calibration_median;
+    // Setup and CPU costs, expressed at the reference host speed.
     report.put(
         "host.calib_us",
-        calibration_median / 1e3,
+        calibration.0.quantile(0.5).unwrap_or(0) as f64 / 1e3,
         "us",
-        calibration.len(),
+        calibration.0.len(),
     );
     report.put(
         "setup_s",
-        setup.quantile(0.5).unwrap_or(0) as f64 / 1e9 * scale,
+        setup.quantile(0.5).unwrap_or(0) as f64 / 1e9 * calibration.scale(),
         "s",
         setup.len(),
     );
-    let served: u64 = tally.answered.iter().sum();
+    report.put(
+        "setup_wall_s",
+        setup_wall.quantile(0.5).unwrap_or(0) as f64 / 1e9,
+        "s",
+        setup_wall.len(),
+    );
     report.put(
         "serve_cpu_us",
-        serve_cpu_ns as f64 / 1e3 / served.max(1) as f64 * scale,
+        serve_cpu.quantile(0.5).unwrap_or(0) as f64 / 1e3 * calibration.scale(),
         "us",
-        served as usize,
+        tally.answered_total() as usize,
     );
+    if args.trace {
+        report.put(
+            "trace.overhead.price_p50",
+            traced_price.quantile(0.5).unwrap_or(0) as f64
+                / untraced_price.quantile(0.5).unwrap_or(1).max(1) as f64,
+            "ratio",
+            traced_price.len(),
+        );
+    }
     let solves = solve_window.close();
     report.put(
         "batch_solve_s",
@@ -336,7 +372,7 @@ fn run(plan: &Plan, args: &Args) -> (Report, u64, u64) {
     );
     report.put(
         "batch_cpu_s",
-        rounds_cpu.median_of_chunk_means(ROUND_CHUNK) / 1e9 * scale,
+        rounds_cpu.median_of_chunk_means(ROUND_CHUNK) / 1e9 * calibration.scale(),
         "s",
         rounds_cpu.len(),
     );
@@ -350,11 +386,23 @@ fn run(plan: &Plan, args: &Args) -> (Report, u64, u64) {
         solves.count as usize,
     );
     let serve_layers = server_windows.close(&stack);
-    if tally.fell_behind() {
+    // Handler seconds per second of serving spent on observations: on
+    // recal-storm, the share of a core its inline re-solves keep busy.
+    report.put(
+        "server.observe_busy",
+        serve_layers.observe.sum as f64 / serve_wall_ns.max(1) as f64,
+        "s/s",
+        serve_layers.observe.count as usize,
+    );
+    // A host stall makes the generator late for a while, within one
+    // segment; a generator that cannot keep pace falls behind in each.
+    if behind
+        .iter()
+        .all(|&(head, tail)| tail > head + workload::BEHIND_NS)
+    {
         report.fail(format!(
-            "generator fell behind its schedule (lateness head {:.0} ns, tail {:.0} ns, p99 {} ns)",
-            tally.late_head_tail().0,
-            tally.late_head_tail().1,
+            "generator fell behind its schedule in every serve segment (median lateness of \
+             the first and last fifth, ns: {behind:.0?}; p99 {} ns)",
             tally.late.quantile(0.99).unwrap_or(0)
         ));
     }
@@ -373,7 +421,8 @@ fn run(plan: &Plan, args: &Args) -> (Report, u64, u64) {
             let probe_mode = Mode::Probe {
                 give_up_ns: workload::SLO_NS,
             };
-            let (oa, ob) = workload::run_phase(stack.addr, &a, &b, probe_mode, probe_mode);
+            let phase = workload::run_phase(stack.addr, &a, &b, probe_mode, probe_mode);
+            let (oa, ob) = (phase.a, phase.b);
             inputs.mark_applied(&b, &ob);
             let mut t = Tally::default();
             t.add(&a, &oa, true);
@@ -384,7 +433,7 @@ fn run(plan: &Plan, args: &Args) -> (Report, u64, u64) {
                 && t.failed == 0
                 && beyond(t.price.len(), 0.99) >= 10
                 && p99 <= workload::SLO_NS
-                && !t.fell_behind();
+                && !t.fell_behind(0);
             knee_tally.answered_from(&t);
             probes.push(Probe {
                 rate,

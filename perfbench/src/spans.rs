@@ -50,8 +50,6 @@ pub struct TracedRun {
     pub exports: Vec<String>,
     /// Probe calls into single layers.
     pub probes: Vec<Span>,
-    /// Traced ÷ untraced price p50.
-    pub overhead: f64,
 }
 
 fn kind_label(kind: Kind) -> &'static str {

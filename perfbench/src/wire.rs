@@ -260,8 +260,11 @@ pub enum Mode {
 
 /// Drive `ops` (sorted by `due_ns`) over one fresh connection to `addr`,
 /// starting the schedule at `start_ns`. Unsent or unanswered requests
-/// come back with status 0.
-pub fn drive(addr: SocketAddr, ops: &[Op], start_ns: u64, mode: Mode) -> Vec<Outcome> {
+/// come back with status 0. Also returns the CPU time the calling
+/// thread spent driving, so callers can take the generator's share out
+/// of process CPU time.
+pub fn drive(addr: SocketAddr, ops: &[Op], start_ns: u64, mode: Mode) -> (Vec<Outcome>, u64) {
+    let cpu_start = thread_cpu_ns();
     tighten_timer_slack();
     let mut outcomes: Vec<Outcome> = Vec::with_capacity(ops.len());
     let unsent = |i: usize, at: u64| Outcome {
@@ -279,7 +282,8 @@ pub fn drive(addr: SocketAddr, ops: &[Op], start_ns: u64, mode: Mode) -> Vec<Out
         Ok(s) => s,
         Err(_) => {
             let now = ft_trace::now_ns();
-            return (0..ops.len()).map(|i| unsent(i, now)).collect();
+            let outcomes = (0..ops.len()).map(|i| unsent(i, now)).collect();
+            return (outcomes, thread_cpu_ns() - cpu_start);
         }
     };
     let _ = stream.set_nodelay(true);
@@ -394,7 +398,7 @@ pub fn drive(addr: SocketAddr, ops: &[Op], start_ns: u64, mode: Mode) -> Vec<Out
         outcomes.push(unsent(i, now));
     }
     outcomes.sort_by_key(|o| o.op);
-    outcomes
+    (outcomes, thread_cpu_ns() - cpu_start)
 }
 
 #[cfg(test)]

@@ -45,6 +45,13 @@ pub const KNEE_SAMPLES: f64 = 1_200.0;
 pub const MIN_ROUNDS: usize = 20;
 /// How often connection B scrapes `/metrics`.
 pub const SCRAPE_EVERY_NS: u64 = 1_000_000_000;
+/// Growth of the generator's median lateness, in ns, that counts as
+/// falling behind its schedule.
+pub const BEHIND_NS: f64 = 200_000.0;
+/// Setups per run; `setup_s` is their median.
+pub const SETUPS: usize = 7;
+/// Share of the window spent in the knee phase.
+pub const KNEE_SHARE: f64 = 0.2;
 
 /// Everything that defines one workload.
 pub struct Plan {
@@ -62,12 +69,9 @@ pub struct Plan {
     pub storm: bool,
     /// Campaigns (from the front of the fleet) one batch round solves.
     pub batch: usize,
-    /// Shares of the window spent in the batch and knee phases; the
-    /// serve phase gets the rest.
+    /// Share of the window spent in batch rounds; the serve phase gets
+    /// what the batch rounds and the knee leave.
     pub batch_share: f64,
-    pub knee_share: f64,
-    /// Setups per run; `setup_s` is their median.
-    pub setups: usize,
 }
 
 /// Registry options under which an observation never triggers a
@@ -103,13 +107,11 @@ impl Plan {
                 storm: false,
                 batch: 96,
                 batch_share: 0.25,
-                knee_share: 0.2,
-                setups: 5,
             },
             "recal-storm" => Plan {
                 name: "recal-storm",
                 seed,
-                fleet: fleet::storm(192, 200, 24),
+                fleet: fleet::storm(192, 200, 48),
                 // Every third observation re-solves, so the observe p50
                 // stays on plain reports and the p99 on re-solves.
                 adaptive: AdaptiveOptions {
@@ -119,12 +121,12 @@ impl Plan {
                 routed: false,
                 price_rate: 2000.0,
                 bulk_rate: 500.0,
+                // About 50 re-solves a second: enough to keep about half
+                // a core busy (`server.observe_busy`, see the README).
                 observe_rate: 150.0,
                 storm: true,
                 batch: 96,
                 batch_share: 0.25,
-                knee_share: 0.2,
-                setups: 5,
             },
             "solve-batch" => Plan {
                 name: "solve-batch",
@@ -138,8 +140,6 @@ impl Plan {
                 storm: false,
                 batch: 16,
                 batch_share: 0.45,
-                knee_share: 0.2,
-                setups: 5,
             },
             _ => return None,
         };
@@ -436,19 +436,26 @@ impl Inputs {
     }
 }
 
+/// One phase's outcomes on connections A and B, and the CPU time the
+/// two generator threads spent driving them.
+pub struct PhaseOutcome {
+    pub a: Vec<Outcome>,
+    pub b: Vec<Outcome>,
+    pub generator_cpu_ns: u64,
+}
+
 /// Run one phase: connection A on this thread, B on one more.
-pub fn run_phase(
-    addr: SocketAddr,
-    a: &[Op],
-    b: &[Op],
-    mode_a: Mode,
-    mode_b: Mode,
-) -> (Vec<Outcome>, Vec<Outcome>) {
+pub fn run_phase(addr: SocketAddr, a: &[Op], b: &[Op], mode_a: Mode, mode_b: Mode) -> PhaseOutcome {
     let start = ft_trace::now_ns() + 2_000_000;
     std::thread::scope(|s| {
         let conn_b = s.spawn(|| wire::drive(addr, b, start, mode_b));
-        let out_a = wire::drive(addr, a, start, mode_a);
-        (out_a, conn_b.join().expect("connection B thread"))
+        let (a, cpu_a) = wire::drive(addr, a, start, mode_a);
+        let (b, cpu_b) = conn_b.join().expect("connection B thread");
+        PhaseOutcome {
+            a,
+            b,
+            generator_cpu_ns: cpu_a + cpu_b,
+        }
     })
 }
 
@@ -535,10 +542,16 @@ impl Tally {
         }
     }
 
+    /// Requests the program answered, all kinds.
+    pub fn answered_total(&self) -> u64 {
+        self.answered.iter().sum()
+    }
+
     /// Median lateness of the first and of the last fifth of the sends
-    /// (medians, so one host stall does not read as a growing backlog).
-    pub fn late_head_tail(&self) -> (f64, f64) {
-        let mut sends = self.sends.clone();
+    /// from index `from` on (medians, so a short host stall does not read
+    /// as a growing backlog).
+    pub fn late_head_tail(&self, from: usize) -> (f64, f64) {
+        let mut sends = self.sends[from..].to_vec();
         sends.sort_unstable();
         let fifth = sends.len() / 5;
         if fifth == 0 {
@@ -575,11 +588,11 @@ impl Tally {
         self.answered_from(other);
     }
 
-    /// The generator ran behind its schedule: its median lateness grew
-    /// across the phase by more than 0.2 ms.
-    pub fn fell_behind(&self) -> bool {
-        let (head, tail) = self.late_head_tail();
-        tail > head + 200_000.0
+    /// The generator ran behind its schedule over the sends from index
+    /// `from` on: its median lateness grew by more than 0.2 ms.
+    pub fn fell_behind(&self, from: usize) -> bool {
+        let (head, tail) = self.late_head_tail(from);
+        tail > head + BEHIND_NS
     }
 }
 
