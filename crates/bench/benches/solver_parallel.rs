@@ -79,5 +79,46 @@ fn efficient_class(c: &mut Criterion) {
     );
 }
 
-criterion_group!(benches, simple_class, truncated_class, efficient_class);
+/// Algorithm 2 on the largest deadline shape of the repository
+/// benchmark's `solve-batch` fleet: N = 5000 over 24 intervals of an
+/// 8-hour horizon at 80 arrivals per task-hour. Most of its backup terms
+/// sit in divide segments whose action bracket has collapsed, the runs
+/// the lane-batched backup serves.
+fn efficient_batch_class(c: &mut Criterion) {
+    let p = DeadlineProblem::from_market(
+        5000,
+        8.0,
+        24,
+        &ConstantRate::new(5000.0 * 80.0),
+        PriceGrid::new(0, 40),
+        &LogitAcceptance::new(15.0, -0.39, 2000.0),
+        PenaltyModel::Linear { per_task: 1000.0 },
+    );
+    let trunc = TruncationTable::with_eps(&p, 1e-9);
+    let mut group = c.benchmark_group("solver_parallel/efficient_batch");
+    group.sample_size(10);
+    for (label, cfg) in [
+        ("serial", KernelConfig::serial()),
+        ("parallel", KernelConfig::default()),
+    ] {
+        group.bench_with_input(BenchmarkId::new(label, p.n_tasks), &p, |b, p| {
+            b.iter(|| {
+                black_box(
+                    solve_deadline(p, &trunc, Sweep::MonotoneDivide, &cfg)
+                        .unwrap()
+                        .expected_total_cost(),
+                )
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    simple_class,
+    truncated_class,
+    efficient_class,
+    efficient_batch_class
+);
 criterion_main!(benches);

@@ -110,32 +110,38 @@ impl LayerModel for BudgetAssignModel<'_> {
         512
     }
 
-    fn solve_state(
+    fn solve_range(
         &self,
         _i: usize,
-        b: usize,
+        lo: usize,
         _a_lo: usize,
         _a_hi: usize,
         prev: &[f64],
+        vals: &mut [f64],
+        decs: &mut [u32],
         _scratch: &mut (),
-    ) -> (f64, u32) {
-        let mut best = f64::INFINITY;
-        let mut choice = u32::MAX;
-        for &(c, inv_p) in self.acts {
-            if c > b {
-                continue;
+    ) {
+        for (j, (val, dec)) in vals.iter_mut().zip(decs.iter_mut()).enumerate() {
+            let b = lo + j;
+            let mut best = f64::INFINITY;
+            let mut choice = u32::MAX;
+            for &(c, inv_p) in self.acts {
+                if c > b {
+                    continue;
+                }
+                let prev_v = prev[b - c];
+                if !prev_v.is_finite() {
+                    continue;
+                }
+                let v = prev_v + inv_p;
+                if v < best {
+                    best = v;
+                    choice = c as u32;
+                }
             }
-            let prev_v = prev[b - c];
-            if !prev_v.is_finite() {
-                continue;
-            }
-            let v = prev_v + inv_p;
-            if v < best {
-                best = v;
-                choice = c as u32;
-            }
+            *val = best;
+            *dec = choice;
         }
-        (best, choice)
     }
 }
 
@@ -184,30 +190,36 @@ impl LayerModel for BudgetMdpModel<'_> {
         512
     }
 
-    fn solve_state(
+    fn solve_range(
         &self,
         m: usize,
-        b: usize,
+        lo: usize,
         _a_lo: usize,
         _a_hi: usize,
         prev: &[f64],
+        vals: &mut [f64],
+        decs: &mut [u32],
         _scratch: &mut (),
-    ) -> (f64, u32) {
-        let mut best = f64::INFINITY;
-        let mut best_c = u32::MAX;
-        // Feasibility: after paying c, the remaining m−1 tasks still
-        // need (m−1)·c_min.
-        for &(c, inv_p) in self.acts {
-            if c + (m - 1) * self.c_min > b {
-                continue;
+    ) {
+        for (j, (val, dec)) in vals.iter_mut().zip(decs.iter_mut()).enumerate() {
+            let b = lo + j;
+            let mut best = f64::INFINITY;
+            let mut best_c = u32::MAX;
+            // Feasibility: after paying c, the remaining m−1 tasks still
+            // need (m−1)·c_min.
+            for &(c, inv_p) in self.acts {
+                if c + (m - 1) * self.c_min > b {
+                    continue;
+                }
+                let v = inv_p + prev[b - c];
+                if v < best {
+                    best = v;
+                    best_c = c as u32;
+                }
             }
-            let v = inv_p + prev[b - c];
-            if v < best {
-                best = v;
-                best_c = c as u32;
-            }
+            *val = best;
+            *dec = best_c;
         }
-        (best, best_c)
     }
 }
 

@@ -2,7 +2,7 @@
 //! entry point the three deadline solvers share.
 
 use super::driver::{run, Direction, KernelConfig, LayerModel, Sweep};
-use super::transitions::{best_action, PmfCache, SharedPmfCache, TruncationTable};
+use super::transitions::{q_actions, q_run, PmfCache, SharedPmfCache, TruncationTable, LANES};
 use crate::dp::validate;
 use crate::error::Result;
 use crate::policy::DeadlinePolicy;
@@ -33,7 +33,54 @@ impl<'a> DeadlineDpModel<'a> {
         self.shared = shared;
         self
     }
+
+    /// Make sure `rows` holds the pmf row of `(t, a)`, long enough for
+    /// every state of the layer; returns the action's `(reward, s₀)`.
+    fn prepare_row(&self, rows: &mut PmfCache, t: usize, a: usize) -> (f64, usize) {
+        let action = self.problem.actions.get(a);
+        let s0 = self.trunc.get(t, a);
+        let len = (self.problem.n_tasks as usize - 1).min(s0) + 1;
+        rows.row(t, a, self.problem.interval_arrivals[t], action.accept, len);
+        (action.reward, s0)
+    }
+
+    /// Merge actions `a..a + W` into the best-so-far `(val, dec)` of state
+    /// `n`, their Q values computed side by side by [`q_actions`];
+    /// returns `W`.
+    #[allow(clippy::too_many_arguments)]
+    fn scan_lanes<const W: usize>(
+        &self,
+        t: usize,
+        n: usize,
+        a: usize,
+        prev: &[f64],
+        rows: &PmfCache,
+        val: &mut f64,
+        dec: &mut u32,
+    ) -> usize {
+        let lanes = std::array::from_fn(|i| {
+            let action = a + i;
+            (
+                self.problem.actions.get(action).reward,
+                self.trunc.get(t, action),
+                rows.built(action),
+            )
+        });
+        for (i, q) in q_actions::<W>(n, prev, lanes).into_iter().enumerate() {
+            if q < *val {
+                *val = q;
+                *dec = (a + i) as u32;
+            }
+        }
+        W
+    }
 }
+
+/// States whose Q values for one action are computed before they are
+/// merged into the best-so-far: each action's pmf row is read once per
+/// block rather than once per lane block, and the values fit on the
+/// stack.
+const BLOCK: usize = 8 * LANES;
 
 impl LayerModel for DeadlineDpModel<'_> {
     /// Per-worker Poisson pmf rows, one per `(layer, action)` — shared by
@@ -69,21 +116,72 @@ impl LayerModel for DeadlineDpModel<'_> {
         8
     }
 
-    fn solve_state(
+    /// Every candidate action is merged into a state's best-so-far on a
+    /// strict `<`, in ascending action order, so ties keep the cheaper
+    /// action and a state whose every Q is NaN or `+∞` keeps
+    /// `(+∞, a_lo)`. A run of several states goes block by block and,
+    /// within a block, action by action, `q_run` filling one action's
+    /// Q values for the block; a single state (a `MonotoneDivide`
+    /// midpoint) scans its bracket with `q_actions`, several actions
+    /// side by side.
+    fn solve_range(
         &self,
         t: usize,
-        m: usize,
+        lo: usize,
         a_lo: usize,
         a_hi: usize,
         prev: &[f64],
-        cache: &mut PmfCache,
-    ) -> (f64, u32) {
-        if m == 0 {
+        vals: &mut [f64],
+        decs: &mut [u32],
+        rows: &mut PmfCache,
+    ) {
+        debug_assert!(a_lo <= a_hi && a_hi < self.problem.actions.len());
+        let (lo, vals, decs) = if lo == 0 {
             // Nothing left to price: cost 0, decision unused.
-            return (0.0, 0);
+            vals[0] = 0.0;
+            decs[0] = 0;
+            (1, &mut vals[1..], &mut decs[1..])
+        } else {
+            (lo, vals, decs)
+        };
+        if vals.is_empty() {
+            return;
         }
-        let (best, best_q) = best_action(self.problem, self.trunc, t, m, a_lo, a_hi, prev, cache);
-        (best_q, best as u32)
+        vals.fill(f64::INFINITY);
+        decs.fill(a_lo as u32);
+        if let ([val], [dec]) = (&mut *vals, &mut *decs) {
+            for a in a_lo..=a_hi {
+                self.prepare_row(rows, t, a);
+            }
+            let mut a = a_lo;
+            while a <= a_hi {
+                a += match a_hi + 1 - a {
+                    LANES.. => self.scan_lanes::<LANES>(t, lo, a, prev, rows, val, dec),
+                    4.. => self.scan_lanes::<4>(t, lo, a, prev, rows, val, dec),
+                    2.. => self.scan_lanes::<2>(t, lo, a, prev, rows, val, dec),
+                    _ => self.scan_lanes::<1>(t, lo, a, prev, rows, val, dec),
+                };
+            }
+            return;
+        }
+        let mut q = [0.0; BLOCK];
+        for (b, (vals, decs)) in vals
+            .chunks_mut(BLOCK)
+            .zip(decs.chunks_mut(BLOCK))
+            .enumerate()
+        {
+            let q = &mut q[..vals.len()];
+            for a in a_lo..=a_hi {
+                let (c, s0) = self.prepare_row(rows, t, a);
+                q_run(c, lo + b * BLOCK, prev, s0, rows.built(a), q);
+                for ((val, dec), &q) in vals.iter_mut().zip(decs.iter_mut()).zip(q.iter()) {
+                    if q < *val {
+                        *val = q;
+                        *dec = a as u32;
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -128,7 +226,93 @@ pub fn solve_deadline_with_cache(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::actions::{ActionSet, PriceAction};
     use crate::dp::test_support::varied_problems;
+    use crate::penalty::PenaltyModel;
+
+    /// Solve `states` of layer `t` as one run over `[a_lo, a_hi]`.
+    fn solve_run(
+        model: &DeadlineDpModel<'_>,
+        t: usize,
+        states: std::ops::Range<usize>,
+        a_lo: usize,
+        a_hi: usize,
+        prev: &[f64],
+    ) -> (Vec<f64>, Vec<u32>) {
+        let mut vals = vec![f64::NAN; states.len()];
+        let mut decs = vec![u32::MAX; states.len()];
+        let mut scratch = model.make_scratch();
+        model.solve_range(
+            t,
+            states.start,
+            a_lo,
+            a_hi,
+            prev,
+            &mut vals,
+            &mut decs,
+            &mut scratch,
+        );
+        (vals, decs)
+    }
+
+    #[test]
+    fn solve_range_respects_the_action_bracket() {
+        let actions = ActionSet::new(vec![
+            PriceAction {
+                reward: 0.0,
+                accept: 0.0,
+            },
+            PriceAction {
+                reward: 5.0,
+                accept: 0.5,
+            },
+            PriceAction {
+                reward: 9.0,
+                accept: 0.9,
+            },
+        ]);
+        let p = DeadlineProblem::new(
+            3,
+            vec![3.0],
+            actions,
+            PenaltyModel::Linear { per_task: 1000.0 },
+        );
+        let trunc = TruncationTable::none(&p);
+        let model = DeadlineDpModel::new(&p, &trunc);
+        // Terminal row: huge penalty makes high acceptance attractive.
+        let opt_next = [0.0, 1000.0, 2000.0, 3000.0];
+        let (_, full) = solve_run(&model, 0, 3..4, 0, 2, &opt_next);
+        assert_eq!(full, [2]);
+        // Restricting to [0, 1] must pick from that range.
+        let (_, restricted) = solve_run(&model, 0, 3..4, 0, 1, &opt_next);
+        assert_eq!(restricted, [1]);
+        // State 0 is priced at nothing, whatever the bracket.
+        let (vals, decs) = solve_run(&model, 0, 0..4, 1, 2, &opt_next);
+        assert_eq!((vals[0], decs[0]), (0.0, 0));
+    }
+
+    /// A previous layer of `+∞` or NaN makes every Q non-finite or NaN;
+    /// no action then beats the `+∞` start, so every state reports
+    /// `(+∞, a_lo)` — in state lanes, leftover states and a lone state's
+    /// action lanes alike.
+    #[test]
+    fn non_finite_previous_layer_gives_infinity_at_a_lo() {
+        let p = crate::testkit::small_problem(40, 2);
+        let trunc = TruncationTable::with_eps(&p, 1e-9);
+        let model = DeadlineDpModel::new(&p, &trunc);
+        for poison in [f64::INFINITY, f64::NAN] {
+            let mut prev = vec![poison; 41];
+            prev[0] = 0.0;
+            for (states, a_lo) in [(1..41, 0), (1..41, 3), (7..8, 0), (7..8, 3)] {
+                let (vals, decs) = solve_run(&model, 0, states, a_lo, 12, &prev);
+                assert!(
+                    vals.iter().all(|&v| v == f64::INFINITY),
+                    "{poison}: {vals:?}"
+                );
+                assert!(decs.iter().all(|&d| d == a_lo as u32), "{poison}: {decs:?}");
+            }
+        }
+    }
 
     /// Solving through a shared pmf cache — including a warm cache fed
     /// by a previous solve — must be bitwise identical to the private

@@ -1,18 +1,22 @@
 //! The generic backward/forward induction driver.
 //!
 //! A [`LayerModel`] describes a layered DP: a terminal boundary row and a
-//! per-state Bellman optimisation that reads only the previous layer.
-//! [`run`] sweeps the layers in induction order and, within each layer,
-//! computes the states with one of two strategies:
+//! Bellman optimisation, [`LayerModel::solve_range`], over a run of
+//! consecutive states that reads only the previous layer. [`run`] sweeps
+//! the layers in induction order and, within each layer, computes the
+//! states with one of two strategies:
 //!
 //! - [`Sweep::Dense`]: every state scans its full action range
 //!   (Algorithm 1 and the budget DPs). States are partitioned into
-//!   contiguous chunks solved concurrently on the shared `ft-exec` pool.
+//!   contiguous chunks solved concurrently on the shared `ft-exec` pool,
+//!   one `solve_range` call per chunk.
 //! - [`Sweep::MonotoneDivide`]: Algorithm 2's divide-and-conquer over the
 //!   state axis, valid when the optimal action index is non-decreasing in
-//!   the state (Conjecture 1). The midpoint state is solved first, then
-//!   the two halves — whose action ranges are now bracketed — recurse as
-//!   independent fork-join tasks.
+//!   the state (Conjecture 1). The midpoint state is solved first (a run
+//!   of one), then the two halves — whose action ranges are now
+//!   bracketed — recurse as independent fork-join tasks. A serial
+//!   segment whose bracket has collapsed to one action is solved as one
+//!   run.
 //!
 //! Both strategies compute each cell with exactly the serial operation
 //! sequence, so results are identical for any thread count.
@@ -102,18 +106,26 @@ pub trait LayerModel: Sync {
         64
     }
 
-    /// Solve one state: return the optimal `(value, decision)` at
-    /// `(layer, state)` given the previous layer's values, considering
-    /// only actions in `[a_lo, a_hi]` (dense sweeps pass the full range).
-    fn solve_state(
+    /// Solve the run of states `lo .. lo + vals.len()` of `layer`: write
+    /// each state's optimal value and decision into `vals`/`decs`, given
+    /// the previous layer's values and considering only actions in
+    /// `[a_lo, a_hi]` (dense sweeps pass the full range). The driver
+    /// calls it per dense chunk, per `MonotoneDivide` midpoint (a run of
+    /// one) and per divide segment whose action bracket has collapsed
+    /// (`a_lo == a_hi`). Each state's result must not depend on which
+    /// run it was solved in.
+    #[allow(clippy::too_many_arguments)]
+    fn solve_range(
         &self,
         layer: usize,
-        state: usize,
+        lo: usize,
         a_lo: usize,
         a_hi: usize,
         prev: &[f64],
+        vals: &mut [f64],
+        decs: &mut [u32],
         scratch: &mut Self::Scratch,
-    ) -> (f64, u32);
+    );
 }
 
 /// Run the induction. Returns the full value table (`n_steps + 1` layers
@@ -177,11 +189,7 @@ fn dense_sweep<M: LayerModel>(
     let a_hi = model.n_actions() - 1;
     ft_exec::par_chunks2_mut(cur, decisions, grain, threads, |start, vals, decs| {
         let mut scratch = model.make_scratch();
-        for j in 0..vals.len() {
-            let (v, d) = model.solve_state(layer, start + j, 0, a_hi, prev, &mut scratch);
-            vals[j] = v;
-            decs[j] = d;
-        }
+        model.solve_range(layer, start, 0, a_hi, prev, vals, decs, &mut scratch);
     });
 }
 
@@ -197,9 +205,17 @@ fn monotone_sweep<M: LayerModel>(
     // State 0 sits outside the monotone recursion (it's the "done"
     // state for the deadline MDP); solve it directly.
     let mut scratch = model.make_scratch();
-    let (v0, d0) = model.solve_state(layer, 0, 0, model.n_actions() - 1, prev, &mut scratch);
-    cur[0] = v0;
-    decisions[0] = d0;
+    let a_hi = model.n_actions() - 1;
+    model.solve_range(
+        layer,
+        0,
+        0,
+        a_hi,
+        prev,
+        &mut cur[..1],
+        &mut decisions[..1],
+        &mut scratch,
+    );
     if cur.len() == 1 {
         return;
     }
@@ -214,7 +230,7 @@ fn monotone_sweep<M: LayerModel>(
             1,
             cur.len() - 1,
             0,
-            model.n_actions() - 1,
+            a_hi,
             &mut cur[1..],
             &mut decisions[1..],
             1,
@@ -229,7 +245,10 @@ fn monotone_sweep<M: LayerModel>(
 
 /// `FindOptimalPriceForTime(t, l, r, a_lo, a_hi)` from Algorithm 2, with
 /// the two half-recursions run as a fork-join pair while the segment is
-/// large and the depth budget allows.
+/// large and the depth budget allows. Once the action bracket has
+/// collapsed (`a_lo == a_hi`), every state of a serial segment can only
+/// take that action, so the segment is solved as one run instead of by
+/// further bisection — same cells, same bits.
 ///
 /// `vals`/`decs` cover absolute states `[base, base + len)`.
 #[allow(clippy::too_many_arguments)]
@@ -252,13 +271,35 @@ fn divide<M: LayerModel>(
     if l > r {
         return;
     }
-    let m = l + (r - l) / 2;
-    let (v, d) = model.solve_state(layer, m, a_lo, a_hi, prev, scratch);
-    vals[m - base] = v;
-    decs[m - base] = d;
-    let best = d as usize;
-
     let go_parallel = depth < max_depth && r - l + 1 >= 2 * grain.max(2);
+    if a_lo == a_hi && !go_parallel {
+        let run = l - base..r + 1 - base;
+        model.solve_range(
+            layer,
+            l,
+            a_lo,
+            a_hi,
+            prev,
+            &mut vals[run.clone()],
+            &mut decs[run],
+            scratch,
+        );
+        return;
+    }
+    let m = l + (r - l) / 2;
+    let mid = m - base..m + 1 - base;
+    model.solve_range(
+        layer,
+        m,
+        a_lo,
+        a_hi,
+        prev,
+        &mut vals[mid.clone()],
+        &mut decs[mid],
+        scratch,
+    );
+    let best = decs[m - base] as usize;
+
     if go_parallel {
         let (lv, rv_t) = vals.split_at_mut(m - base);
         let rv = &mut rv_t[1..];
@@ -389,25 +430,31 @@ mod tests {
             4
         }
 
-        fn solve_state(
+        fn solve_range(
             &self,
             layer: usize,
-            state: usize,
+            lo: usize,
             a_lo: usize,
             a_hi: usize,
             prev: &[f64],
+            vals: &mut [f64],
+            decs: &mut [u32],
             _scratch: &mut (),
-        ) -> (f64, u32) {
-            let mut best_a = a_lo;
-            let mut best_v = f64::INFINITY;
-            for a in a_lo..=a_hi {
-                let v = (state as f64 - a as f64 * (layer as f64 + 1.0)).abs() + prev[state];
-                if v < best_v {
-                    best_v = v;
-                    best_a = a;
+        ) {
+            for (j, (val, dec)) in vals.iter_mut().zip(decs.iter_mut()).enumerate() {
+                let state = lo + j;
+                let mut best_a = a_lo;
+                let mut best_v = f64::INFINITY;
+                for a in a_lo..=a_hi {
+                    let v = (state as f64 - a as f64 * (layer as f64 + 1.0)).abs() + prev[state];
+                    if v < best_v {
+                        best_v = v;
+                        best_a = a;
+                    }
                 }
+                *val = best_v;
+                *dec = best_a as u32;
             }
-            (best_v, best_a as u32)
         }
     }
 

@@ -42,15 +42,26 @@ impl TruncationTable {
 
     /// Truncation at tail mass `eps` (Table 1 semantics): the per-cell `s₀`
     /// is the smallest `s` with `Pr[Pois(λ_t p_a) ≥ s] ≤ eps`.
+    ///
+    /// `s₀` is a pure function of `(λ_t p_a, eps)`, and campaigns with a
+    /// constant or repeating arrival rate meet the same means in many
+    /// cells, so each distinct mean (by its bits) is searched once.
     pub fn with_eps(problem: &DeadlineProblem, eps: f64) -> Self {
         assert!(eps > 0.0 && eps < 1.0, "eps must be in (0,1)");
+        // The span keeps its historical name: it times this search, not
+        // pmf row construction (rows are built lazily by the sweep).
         let _span = ft_trace::span("core.kernel.build_rows");
         let n_actions = problem.actions.len();
         let mut s0 = Vec::with_capacity(problem.n_intervals() * n_actions);
+        let mut searched: HashMap<u64, usize> = HashMap::new();
         for &lam in &problem.interval_arrivals {
             for a in problem.actions.iter() {
                 let mean = lam * a.accept;
-                s0.push(Poisson::new(mean).truncation_point(eps) as usize);
+                s0.push(
+                    *searched
+                        .entry(mean.to_bits())
+                        .or_insert_with(|| Poisson::new(mean).truncation_point(eps) as usize),
+                );
             }
         }
         Self { s0, n_actions }
@@ -63,21 +74,23 @@ impl TruncationTable {
 }
 
 /// One Poisson pmf row for a `(interval, action)` pair, shared by every
-/// state of a layer sweep, in a **SIMD-friendly contiguous layout**:
-/// one allocation holding three equal segments `[pmf | weighted | head]`
-/// where `pmf[s] = Pr[X = s]`, `weighted[s] = s · pmf[s]` (the paid-
-/// completions factor, precomputed so the backup's inner loop carries
-/// no per-term `usize → f64` convert), and the running head
-/// `head[s] = Σ_{u ≤ s} pmf[u]` accumulated left-to-right in exactly
-/// the order [`Poisson::pmf_prefix`] accumulates its return value — so
-/// a backup read off this row is bitwise identical to one that called
-/// `pmf_prefix` on its own short buffer.
+/// state of a layer sweep, in one contiguous allocation holding three
+/// equal segments `[pmf | weighted | head]`: `pmf[s] = Pr[X = s]`,
+/// `weighted[s] = s · pmf[s]` (the paid-completions factor, precomputed
+/// so the backup carries no per-term `usize → f64` convert), and the
+/// running head `head[s] = Σ_{u ≤ s} pmf[u]` accumulated left-to-right in
+/// exactly the order [`Poisson::pmf_prefix`] accumulates its return
+/// value — so a backup read off this row is bitwise identical to one
+/// that called `pmf_prefix` on its own short buffer.
 ///
-/// The inner loop over this row is two independent unit-stride products
-/// per term (`weighted[s]·c` and `pmf[s]·opt_next[n−s]`) feeding one
-/// accumulator add; the accumulation order itself stays serial because
-/// the kernel's bitwise-determinism contract forbids reassociating the
-/// sum.
+/// The batched backups read rows in lanes: `q_run` one row for
+/// [`LANES`] consecutive states (term `s` is `weighted[s]·c`, shared by
+/// the lanes, plus `pmf[s]` times a contiguous window of the next
+/// layer's values), `q_actions` up to [`LANES`] rows at one state.
+/// Each cell still sums its own terms in ascending `s` — the kernel's
+/// bitwise-determinism contract forbids reassociating a sum — so the
+/// lanes gain by overlapping independent add chains, not by splitting
+/// one.
 #[derive(Debug, Clone)]
 pub struct PmfRow {
     /// `[pmf | weighted | head]`, each `len` long.
@@ -274,7 +287,14 @@ impl PmfCache {
     /// The pmf row for `(t, action)`, built on first use with `len`
     /// entries (callers pass the longest prefix any state of the layer
     /// can need, `min(max_state − 1, s0) + 1`).
-    fn row(&mut self, t: usize, action: usize, lam_t: f64, accept: f64, len: usize) -> &PmfRow {
+    pub(crate) fn row(
+        &mut self,
+        t: usize,
+        action: usize,
+        lam_t: f64,
+        accept: f64,
+        len: usize,
+    ) -> &PmfRow {
         if self.layer != t {
             self.layer = t;
             self.rows.iter_mut().for_each(|r| *r = None);
@@ -288,30 +308,113 @@ impl PmfCache {
         }
         slot.as_ref().unwrap()
     }
+
+    /// The row [`Self::row`] built for `action` in the current layer.
+    pub(crate) fn built(&self, action: usize) -> &PmfRow {
+        self.rows[action].as_deref().expect("row not built")
+    }
 }
 
-/// [`q_value`] read off a shared [`PmfRow`] instead of a freshly filled
-/// buffer. Same operation sequence per term, so results are bitwise
-/// identical (asserted by `cached_rows_match_q_value_bitwise`).
-fn q_value_from_row(c: f64, n: usize, opt_next: &[f64], s0: usize, row: &PmfRow) -> f64 {
+/// `Q(n, a)` at one state `n` for `W` actions at once, each lane given
+/// as `(reward, s₀, pmf row)`: [`q_value`] read off shared [`PmfRow`]s
+/// instead of a freshly filled buffer.
+///
+/// Lane `i` keeps its own accumulator and sums its terms in ascending
+/// `s` — the common prefix `s = 0..=min k_i` in step with the other
+/// lanes (they share `opt_next[n − s]`), then its own remaining terms,
+/// then its collapsed tail — the operation sequence of [`q_value`], so
+/// results are bitwise identical (`cached_rows_match_q_value_bitwise`).
+/// A `MonotoneDivide` midpoint scans its whole action bracket this way,
+/// overlapping up to [`LANES`] independent add chains.
+pub(crate) fn q_actions<const W: usize>(
+    n: usize,
+    opt_next: &[f64],
+    lanes: [(f64, usize, &PmfRow); W],
+) -> [f64; W] {
     debug_assert!(n >= 1, "backup needs at least one remaining task");
     debug_assert!(opt_next.len() > n, "opt row too short");
-    let k = (n - 1).min(s0);
-    debug_assert!(row.len > k, "pmf row too short");
-    let pmf = &row.pmf()[..=k];
-    let weighted = &row.weighted()[..=k];
-    let mut q = 0.0;
-    // Two unit-stride product streams (the reward stream reads the
-    // precomputed `s·pmf[s]`, so no int→float convert in the loop) and
-    // one serial accumulator — the order [`q_value`] also uses.
-    for s in 0..=k {
-        q += weighted[s] * c + pmf[s] * opt_next[n - s];
+    let k = lanes.map(|(_, s0, _)| (n - 1).min(s0));
+    let k_min = k.iter().copied().min().unwrap_or(0);
+    let pmf = lanes.map(|(_, _, row)| &row.pmf()[..=k_min]);
+    let weighted = lanes.map(|(_, _, row)| &row.weighted()[..=k_min]);
+    let c = lanes.map(|(c, _, _)| c);
+    let mut acc = [0.0f64; W];
+    // Two unit-stride product streams per lane (the reward stream reads
+    // the precomputed `s·pmf[s]`, so no int→float convert in the loop)
+    // and one accumulator per lane.
+    for s in 0..=k_min {
+        let o = opt_next[n - s];
+        for i in 0..W {
+            acc[i] += weighted[i][s] * c[i] + pmf[i][s] * o;
+        }
     }
-    if n <= s0 {
-        let tail = (1.0 - row.head()[k]).max(0.0);
-        q += tail * (n as f64 * c + opt_next[0]);
+    for (i, &(c, s0, row)) in lanes.iter().enumerate() {
+        debug_assert!(row.len > k[i], "pmf row too short");
+        for s in k_min + 1..=k[i] {
+            acc[i] += row.weighted()[s] * c + row.pmf()[s] * opt_next[n - s];
+        }
+        if n <= s0 {
+            let tail = (1.0 - row.head()[k[i]]).max(0.0);
+            acc[i] += tail * (n as f64 * c + opt_next[0]);
+        }
     }
-    q
+    acc
+}
+
+/// Lanes of the batched backups: states per `q_run` block, and the
+/// most actions `q_actions` is run with. One backup is bound by the
+/// latency of its serial accumulator add, not by memory traffic (a row
+/// of at most a few thousand terms stays in cache), so independent
+/// accumulators are what buys throughput.
+pub const LANES: usize = 8;
+
+/// `Q(n, a)` for the consecutive states `n = n0, n0 + 1, …` into `out`
+/// (`out[j] = Q(n0 + j)`), every state read off the same pmf row.
+///
+/// Full blocks of [`LANES`] states run side by side. Lane `j` keeps its
+/// own accumulator and takes exactly the terms [`q_value`] takes for its
+/// state, in the same order: the common prefix `s = 0..=k₀` (`k₀ =
+/// min(n − 1, s₀)` of the block's first, smallest state), then its own
+/// remaining terms up to `k_j`, then its collapsed `X ≥ n` tail. Nothing
+/// is reassociated, so every value is bit-equal to the one-state backup
+/// (`q_run_matches_q_value_bitwise`). States left over after the last
+/// full block go through [`q_actions`] one at a time.
+pub(crate) fn q_run(c: f64, n0: usize, opt_next: &[f64], s0: usize, row: &PmfRow, out: &mut [f64]) {
+    debug_assert!(n0 >= 1, "backup needs at least one remaining task");
+    debug_assert!(opt_next.len() >= n0 + out.len(), "opt row too short");
+    let (pmf, weighted, head) = (row.pmf(), row.weighted(), row.head());
+    let mut blocks = out.chunks_exact_mut(LANES);
+    let mut n = n0;
+    for block in &mut blocks {
+        let k0 = (n - 1).min(s0);
+        debug_assert!(row.len > (n + LANES - 2).min(s0), "pmf row too short");
+        let mut acc = [0.0f64; LANES];
+        // Window `k0 − s` of `opt_next[n − k0..n + LANES]` holds
+        // `opt_next[n + j − s]` for every lane `j`.
+        let windows = opt_next[n - k0..n + LANES].windows(LANES).rev();
+        for ((&w, &pr), next) in weighted[..=k0].iter().zip(&pmf[..=k0]).zip(windows) {
+            let reward = w * c;
+            for (q, &o) in acc.iter_mut().zip(next) {
+                *q += reward + pr * o;
+            }
+        }
+        for (j, q) in acc.iter_mut().enumerate() {
+            let m = n + j;
+            let k = (m - 1).min(s0);
+            for s in k0 + 1..=k {
+                *q += weighted[s] * c + pmf[s] * opt_next[m - s];
+            }
+            if m <= s0 {
+                let tail = (1.0 - head[k]).max(0.0);
+                *q += tail * (m as f64 * c + opt_next[0]);
+            }
+        }
+        block.copy_from_slice(&acc);
+        n += LANES;
+    }
+    for (j, q) in blocks.into_remainder().iter_mut().enumerate() {
+        [*q] = q_actions(n + j, opt_next, [(c, s0, row)]);
+    }
 }
 
 /// Compute `Q(n, t, action)` given the next interval's cost-to-go row
@@ -333,7 +436,7 @@ pub fn q_value(
     let c = action.reward;
     let pois = Poisson::new(lam_t * action.accept);
     // Partial-completion terms s = 0..=min(n−1, s0), in the exact
-    // operation order of [`q_value_from_row`] (`(s·pr)·c + pr·opt`,
+    // operation order of [`q_actions`] (`(s·pr)·c + pr·opt`,
     // f64 multiplication being bitwise-commutative) so the two paths
     // stay bit-identical (`cached_rows_match_q_value_bitwise`).
     let k = (n - 1).min(s0);
@@ -350,49 +453,11 @@ pub fn q_value(
     q
 }
 
-/// Scan all actions for the best (lowest-Q) one at `(n, t)`, restricted to
-/// action indices `[a_lo, a_hi]`. Ties break toward the cheaper action.
-/// Returns `(best_action_index, best_q)`.
-///
-/// Pmf rows come from the per-worker `cache`, so the Poisson prefix for a
-/// given `(t, a)` is computed once per worker and shared by every state
-/// it sweeps.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn best_action(
-    problem: &DeadlineProblem,
-    trunc: &TruncationTable,
-    t: usize,
-    n: usize,
-    a_lo: usize,
-    a_hi: usize,
-    opt_next: &[f64],
-    cache: &mut PmfCache,
-) -> (usize, f64) {
-    debug_assert!(a_lo <= a_hi && a_hi < problem.actions.len());
-    let lam = problem.interval_arrivals[t];
-    let max_state = problem.n_tasks as usize;
-    let mut best = a_lo;
-    let mut best_q = f64::INFINITY;
-    for a in a_lo..=a_hi {
-        let action = problem.actions.get(a);
-        let s0 = trunc.get(t, a);
-        let len = (max_state - 1).min(s0) + 1;
-        let row = cache.row(t, a, lam, action.accept, len);
-        let q = q_value_from_row(action.reward, n, opt_next, s0, row);
-        if q < best_q {
-            best_q = q;
-            best = a;
-        }
-    }
-    (best, best_q)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::actions::{ActionSet, PriceAction};
+    use crate::actions::PriceAction;
     use crate::dp::test_support::small_problem;
-    use crate::penalty::PenaltyModel;
 
     fn assert_close(a: f64, b: f64, tol: f64) {
         assert!((a - b).abs() <= tol, "expected {b}, got {a} (tol {tol})");
@@ -464,39 +529,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn best_action_range_restriction() {
-        let actions = ActionSet::new(vec![
-            PriceAction {
-                reward: 0.0,
-                accept: 0.0,
-            },
-            PriceAction {
-                reward: 5.0,
-                accept: 0.5,
-            },
-            PriceAction {
-                reward: 9.0,
-                accept: 0.9,
-            },
-        ]);
-        let p = crate::problem::DeadlineProblem::new(
-            3,
-            vec![3.0],
-            actions,
-            PenaltyModel::Linear { per_task: 1000.0 },
-        );
-        let trunc = TruncationTable::none(&p);
-        // Terminal row: huge penalty makes high acceptance attractive.
-        let opt_next = [0.0, 1000.0, 2000.0, 3000.0];
-        let mut cache = PmfCache::new(p.actions.len());
-        let (full, _) = best_action(&p, &trunc, 0, 3, 0, 2, &opt_next, &mut cache);
-        assert_eq!(full, 2);
-        // Restricting to [0, 1] must pick from that range.
-        let (restricted, _) = best_action(&p, &trunc, 0, 3, 0, 1, &opt_next, &mut cache);
-        assert_eq!(restricted, 1);
-    }
-
     /// A longer shared row must serve shorter requests with bitwise-
     /// identical prefixes — the invariant that lets a [`SharedPmfCache`]
     /// upgrade rows in place across solves with different truncations.
@@ -533,9 +565,9 @@ mod tests {
         for p in varied_problems() {
             let trunc = TruncationTable::with_eps(&p, 1e-9);
             let shared = Arc::new(SharedPmfCache::new());
-            let opt_next: Vec<f64> = (0..=p.n_tasks as usize)
-                .map(|i| i as f64 * 3.75 + 0.25)
-                .collect();
+            let max_n = p.n_tasks as usize;
+            let opt_next: Vec<f64> = (0..=max_n).map(|i| i as f64 * 3.75 + 0.25).collect();
+            let (mut q_ref, mut q_got) = (vec![0.0; max_n], vec![0.0; max_n]);
             // Two passes through the shared cache (the second one all
             // hits) against a private-cache reference.
             for _pass in 0..2 {
@@ -543,34 +575,106 @@ mod tests {
                 let mut through_shared =
                     PmfCache::with_shared(p.actions.len(), Some(Arc::clone(&shared)));
                 for t in 0..p.n_intervals() {
-                    for n in 1..=p.n_tasks as usize {
-                        let (a_ref, q_ref) = best_action(
-                            &p,
-                            &trunc,
-                            t,
-                            n,
-                            0,
-                            p.actions.len() - 1,
-                            &opt_next,
-                            &mut private,
-                        );
-                        let (a_got, q_got) = best_action(
-                            &p,
-                            &trunc,
-                            t,
-                            n,
-                            0,
-                            p.actions.len() - 1,
-                            &opt_next,
-                            &mut through_shared,
-                        );
-                        assert_eq!(a_ref, a_got, "(t={t}, n={n})");
-                        assert_eq!(q_ref.to_bits(), q_got.to_bits(), "(t={t}, n={n})");
+                    let lam = p.interval_arrivals[t];
+                    for a in 0..p.actions.len() {
+                        let action = p.actions.get(a);
+                        let s0 = trunc.get(t, a);
+                        let len = (max_n - 1).min(s0) + 1;
+                        let row = private.row(t, a, lam, action.accept, len);
+                        q_run(action.reward, 1, &opt_next, s0, row, &mut q_ref);
+                        let row = through_shared.row(t, a, lam, action.accept, len);
+                        q_run(action.reward, 1, &opt_next, s0, row, &mut q_got);
+                        for (n, (r, g)) in q_ref.iter().zip(&q_got).enumerate() {
+                            assert_eq!(r.to_bits(), g.to_bits(), "(t={t}, n={}, a={a})", n + 1);
+                        }
                     }
                 }
             }
             assert!(shared.hits() > 0, "second pass must hit the shared rows");
         }
+    }
+
+    /// [`q_run`] must reproduce the per-state [`q_value`] bit-for-bit for
+    /// every start state and run length around the lane width — full
+    /// blocks, leftover states, and runs whose states straddle `s₀` (so
+    /// some lanes truncate and drop their tail while others do not).
+    #[test]
+    fn q_run_matches_q_value_bitwise() {
+        let (lam, action) = (
+            9.0,
+            PriceAction {
+                reward: 7.5,
+                accept: 0.8,
+            },
+        );
+        let max_start = 2 * LANES + 3;
+        let max_len = 2 * LANES + 1;
+        let top = max_start + max_len;
+        // A strictly increasing, irregular cost-to-go row keeps the
+        // comparison sensitive to every term.
+        let opt_next: Vec<f64> = (0..top)
+            .map(|i| i as f64 * 11.25 + (i as f64).sqrt())
+            .collect();
+        let mut buf = vec![0.0; top];
+        let mut out = vec![0.0; max_len];
+        for s0 in [0, 1, 4, LANES, LANES + 3, 2 * LANES + 5, usize::MAX] {
+            let row = PmfRow::build(lam, action.accept, (top - 2).min(s0) + 1);
+            for n0 in 1..=max_start {
+                for len in 1..=max_len {
+                    q_run(action.reward, n0, &opt_next, s0, &row, &mut out[..len]);
+                    for (j, got) in out[..len].iter().enumerate() {
+                        let n = n0 + j;
+                        let want = q_value(lam, action, n, &opt_next, s0, &mut buf);
+                        assert_eq!(
+                            got.to_bits(),
+                            want.to_bits(),
+                            "s0={s0}, n0={n0}, len={len}, n={n}: {got} vs {want}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// [`q_actions`] must reproduce [`q_value`] bit-for-bit in every lane
+    /// at every width, with lanes whose truncation points (and so last
+    /// terms and tails) differ from one another.
+    #[test]
+    fn q_actions_matches_q_value_bitwise() {
+        let top = 3 * LANES + 4;
+        let opt_next: Vec<f64> = (0..top)
+            .map(|i| i as f64 * 9.5 + (i as f64).ln_1p())
+            .collect();
+        let lanes: Vec<(PriceAction, usize, PmfRow)> = (0..LANES)
+            .map(|i| {
+                let action = PriceAction {
+                    reward: 2.0 + 1.5 * i as f64,
+                    accept: 0.1 + 0.1 * i as f64,
+                };
+                let s0 = [usize::MAX, 0, 3, LANES, 2 * LANES + 1][i % 5];
+                let row = PmfRow::build(12.0, action.accept, (top - 2).min(s0) + 1);
+                (action, s0, row)
+            })
+            .collect();
+        fn check<const W: usize>(lanes: &[(PriceAction, usize, PmfRow)], opt_next: &[f64]) {
+            let mut buf = vec![0.0; opt_next.len()];
+            for n in 1..opt_next.len() {
+                let got = q_actions::<W>(
+                    n,
+                    opt_next,
+                    std::array::from_fn(|i| (lanes[i].0.reward, lanes[i].1, &lanes[i].2)),
+                );
+                for (i, got) in got.iter().enumerate() {
+                    let (action, s0, _) = &lanes[i];
+                    let want = q_value(12.0, *action, n, opt_next, *s0, &mut buf);
+                    assert_eq!(got.to_bits(), want.to_bits(), "W={W}, lane {i}, n={n}");
+                }
+            }
+        }
+        check::<1>(&lanes, &opt_next);
+        check::<2>(&lanes, &opt_next);
+        check::<4>(&lanes, &opt_next);
+        check::<LANES>(&lanes, &opt_next);
     }
 
     /// The shared-row backup must reproduce the per-state [`q_value`]
@@ -599,7 +703,7 @@ mod tests {
                                 q_value(p.interval_arrivals[t], action, n, &opt_next, s0, &mut buf);
                             let len = (max_n - 1).min(s0) + 1;
                             let row = cache.row(t, a, p.interval_arrivals[t], action.accept, len);
-                            let cached = q_value_from_row(action.reward, n, &opt_next, s0, row);
+                            let [cached] = q_actions(n, &opt_next, [(action.reward, s0, row)]);
                             assert_eq!(
                                 cached.to_bits(),
                                 reference.to_bits(),

@@ -243,7 +243,7 @@ fn recalibrating_trace_spans_server_registry_engine_kernel_exec() {
         "core.registry.observe",     // registry: report ingestion
         "core.engine.observe",       // engine: kind-polymorphic update
         "core.registry.recalibrate", // registry: drift-triggered resolve
-        "core.kernel.build_rows",    // kernel: pmf row construction
+        "core.kernel.build_rows",    // kernel: truncation-point search
         "core.kernel.induct_layer",  // kernel: DP layer induction
         "core.kernel.sweep",         // kernel: monotone sweep
         "exec.pool.dispatch",        // exec: fork-join region
