@@ -211,7 +211,7 @@ fn lint_l3_thread_spawn(file: &SourceFile, findings: &mut Vec<Finding>) {
                 "L3",
                 &file.rel_path,
                 idx + 1,
-                "raw thread creation outside the sanctioned spawn points (ft-exec pool, server reactor, router acceptor)",
+                "raw thread creation outside the sanctioned spawn points (ft-exec pool, server reactor)",
             ));
         }
     }

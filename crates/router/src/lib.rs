@@ -20,8 +20,10 @@
 //!   owner and reassemble in input order; `x-ft-trace` ids propagate
 //!   end to end and `GET /trace/{id}` stitches the per-process span
 //!   trees into one tree.
-//! - **Serving** ([`server`]): the backend tier's blocking keep-alive
-//!   loop, one backend connection set per worker thread.
+//! - **Serving** ([`server`]): the nodes' epoll reactor
+//!   ([`ft_server::Service`]) — pipelined keep-alive clients, a bounded
+//!   ready-queue answering `503` when full — with one backend
+//!   connection set per worker thread.
 //!
 //! The router adds two routes of its own: `GET /fleet` (membership
 //! rows) and `POST /fleet/drain?node=N` (planned migration). Node

@@ -1,31 +1,39 @@
-//! The router's serving loop.
+//! The router's serving loop: the nodes' epoll reactor
+//! ([`ft_server::Service`]), serving [`proxy::handle`].
 //!
-//! Same shape as the backend tier's blocking server, sized for a front
-//! tier: a small pool of acceptor/worker threads share the listener
-//! (`accept` is thread-safe on every platform we target), and each
-//! worker owns one keep-alive [`Connections`] set to the backends —
-//! so backend connection state is per-thread and needs no locking.
-//! Shutdown is the codebase's poke idiom: flip an `AtomicBool`, then
-//! connect once per worker so every blocked `accept` call returns.
+//! Each reactor worker owns one keep-alive [`Connections`] set to the
+//! backends, so backend connection state is per-thread and needs no
+//! locking. As on a node, a keep-alive client may pipeline requests:
+//! they run concurrently on the workers and their responses come back
+//! in request order; a request that finds the ready-queue full is
+//! answered `503 server_busy`.
 
 use crate::fleet::Fleet;
 use crate::proxy::{self, Connections};
-use ft_server::http::{read_request, write_response, Response};
-use std::io::{self, BufReader};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use ft_server::http::{Request, Response};
+use ft_server::{LoopTelemetry, ServerConfig, ServerHandle, Service};
+use std::io;
+use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
 use std::time::Duration;
 
+/// Parsed requests allowed to wait for a free worker before the router
+/// answers `503`. Deep enough that a host stall of a few hundred ms at
+/// a few thousand requests a second shows up as latency, not as
+/// rejections: the router is a pass-through tier, and the nodes behind
+/// it shed load themselves.
+const QUEUE_DEPTH: usize = 4096;
+
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
-    /// Acceptor/worker threads. Each holds one keep-alive connection
+    /// Reactor worker threads. Each holds one keep-alive connection
     /// per backend, so the fleet sees at most `workers × nodes`
     /// proxy connections.
     pub workers: usize,
     /// Virtual points per node on the placement ring.
     pub replicas: usize,
-    /// Idle client connections are dropped after this long.
+    /// Idle keep-alive client connections are dropped after this long
+    /// between requests.
     pub keep_alive_timeout: Duration,
 }
 
@@ -49,30 +57,23 @@ pub struct Router {
 /// Handle returned by [`Router::spawn`]; dropping it does **not** stop
 /// the router — call [`RouterHandle::shutdown`].
 pub struct RouterHandle {
-    addr: SocketAddr,
+    server: ServerHandle,
     fleet: Arc<Fleet>,
-    stop: Arc<AtomicBool>,
-    workers: usize,
 }
 
 impl RouterHandle {
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.server.addr()
     }
 
     pub fn fleet(&self) -> &Arc<Fleet> {
         &self.fleet
     }
 
-    /// Stop accepting and unblock every worker. Idempotent.
+    /// Stop accepting, answer what is already parsed, and close idle
+    /// client connections. Idempotent.
     pub fn shutdown(&self) {
-        // ORDERING: Release pairs with the Acquire loads in
-        // `worker_loop` — a worker that observes the stop flag also
-        // observes everything settled before shutdown was requested.
-        self.stop.store(true, Ordering::Release);
-        for _ in 0..self.workers {
-            let _ = TcpStream::connect(self.addr);
-        }
+        self.server.shutdown();
     }
 }
 
@@ -98,100 +99,43 @@ impl Router {
     }
 
     /// Serve until [`RouterHandle::shutdown`]; returns the handle and
-    /// a join handle that resolves once every worker has exited.
+    /// the serving thread, which exits once the reactor has drained.
     pub fn spawn(self) -> io::Result<(RouterHandle, std::thread::JoinHandle<()>)> {
-        let stop = Arc::new(AtomicBool::new(false));
-        let workers = self.config.workers.max(1);
-        let mut joins = Vec::with_capacity(workers);
-        for worker in 0..workers {
-            let listener = self.listener.try_clone()?;
-            let fleet = Arc::clone(&self.fleet);
-            let stop = Arc::clone(&stop);
-            let config = self.config.clone();
-            joins.push(
-                std::thread::Builder::new()
-                    .name(format!("ft-router-{worker}"))
-                    .spawn(move || worker_loop(&listener, &fleet, &stop, &config))?,
-            );
-        }
-        let handle = RouterHandle {
-            addr: self.addr,
-            fleet: Arc::clone(&self.fleet),
-            stop,
-            workers,
+        let config = ServerConfig {
+            workers: self.config.workers,
+            queue_depth: QUEUE_DEPTH,
+            keep_alive_timeout: self.config.keep_alive_timeout,
+            ..ServerConfig::default()
         };
-        let join = std::thread::spawn(move || {
-            for j in joins {
-                let _ = j.join();
-            }
-        });
+        let (server, join) =
+            ft_server::spawn_service(self.listener, Arc::clone(&self.fleet), config)?;
+        let handle = RouterHandle {
+            server,
+            fleet: self.fleet,
+        };
         Ok((handle, join))
     }
 
-    /// Serve on the calling thread (the binary's entry point).
+    /// Serve until the process exits (the binary's entry point).
     pub fn serve(self) -> io::Result<()> {
         let (_, join) = self.spawn()?;
         join.join()
-            .map_err(|_| io::Error::other("router worker panicked"))
+            .map_err(|_| io::Error::other("router serving loop panicked"))
     }
 }
 
-fn worker_loop(
-    listener: &TcpListener,
-    fleet: &Arc<Fleet>,
-    stop: &Arc<AtomicBool>,
-    config: &RouterConfig,
-) {
-    let mut conns = Connections::new(fleet.backends());
-    loop {
-        // ORDERING: Acquire pairs with the Release store in
-        // `RouterHandle::shutdown`.
-        if stop.load(Ordering::Acquire) {
-            return;
-        }
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(_) => continue,
-        };
-        // ORDERING: Acquire pairs with the Release store in
-        // `RouterHandle::shutdown` — re-checked after accept so the
-        // unblocking connection it makes is not served as traffic.
-        if stop.load(Ordering::Acquire) {
-            return;
-        }
-        serve_connection(stream, fleet, &mut conns, config);
-    }
-}
+impl Service for Fleet {
+    type Worker = Connections;
 
-/// One client connection: keep-alive request loop until the client
-/// closes, errors, times out, or asks to close.
-fn serve_connection(
-    stream: TcpStream,
-    fleet: &Arc<Fleet>,
-    conns: &mut Connections,
-    config: &RouterConfig,
-) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(config.keep_alive_timeout));
-    let mut reader = BufReader::new(stream);
-    loop {
-        let request = match read_request(&mut reader) {
-            Ok(Some(request)) => request,
-            Ok(None) => return,
-            Err(e) => {
-                // Malformed request: answer a parse diagnostic once
-                // (timeouts and resets just drop), then close.
-                if e.kind() == io::ErrorKind::InvalidData {
-                    let response = Response::text(400, format!("bad request: {e}\n"));
-                    let _ = write_response(reader.get_mut(), &response, false);
-                }
-                return;
-            }
-        };
-        let keep_alive = request.keep_alive;
-        let response = proxy::handle(fleet, conns, &request);
-        if write_response(reader.get_mut(), &response, keep_alive).is_err() || !keep_alive {
-            return;
-        }
+    fn worker(&self) -> Connections {
+        Connections::new(self.backends())
+    }
+
+    fn handle(&self, conns: &mut Connections, request: &Request, _: Duration) -> Response {
+        proxy::handle(self, conns, request)
+    }
+
+    fn telemetry(&self) -> &LoopTelemetry {
+        &self.telemetry.serving
     }
 }

@@ -4,7 +4,7 @@
 //! the summed per-node planes without name collisions.
 
 use ft_metrics::{Counter, Gauge, Histogram, MetricsRegistry};
-use ft_server::Endpoint;
+use ft_server::{Endpoint, LoopTelemetry};
 use std::sync::Arc;
 
 /// Extra endpoint labels the router serves beyond the proxied surface.
@@ -28,6 +28,9 @@ pub struct RouterTelemetry {
     pub rejects: Arc<Counter>,
     /// Backends currently routable.
     pub nodes_alive: Arc<Gauge>,
+    /// Client connection accounting and ready-queue wait, recorded by
+    /// the serving loop.
+    pub serving: LoopTelemetry,
 }
 
 impl RouterTelemetry {
@@ -54,6 +57,12 @@ impl RouterTelemetry {
             restores: metrics.counter("ft_router_restores_total"),
             rejects: metrics.counter("ft_router_rejects_total"),
             nodes_alive: metrics.gauge("ft_router_nodes_alive"),
+            serving: LoopTelemetry {
+                connections_accepted: metrics.counter("ft_router_connections_accepted_total"),
+                connections_rejected: metrics.counter("ft_router_connections_rejected_total"),
+                connections_active: metrics.gauge("ft_router_connections_active"),
+                queue_wait: metrics.histogram("ft_router_queue_wait_ns"),
+            },
             metrics,
         }
     }

@@ -3,7 +3,7 @@
 //! bodies in, status + JSON bodies out, with keep-alive. No chunked
 //! transfer, no TLS, no percent-decoding beyond `%XX` in query values.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, Write};
 
 /// Upper bounds keeping a misbehaving client from ballooning memory.
 const MAX_HEADER_BYTES: usize = 16 * 1024;
@@ -81,102 +81,8 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Read one `\n`-terminated line without ever buffering more than the
-/// remaining header `budget` — `read_line` on a raw stream would keep
-/// allocating for a newline that never comes. `Ok(None)` is EOF before
-/// any byte.
-fn read_line_bounded<R: BufRead>(reader: &mut R, budget: &mut usize) -> io::Result<Option<String>> {
-    let mut limited = io::Read::take(reader.by_ref(), *budget as u64);
-    let mut line = String::new();
-    let n = limited.read_line(&mut line)?;
-    if n == 0 {
-        return Ok(None);
-    }
-    *budget -= n;
-    if !line.ends_with('\n') && *budget == 0 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "headers too large",
-        ));
-    }
-    Ok(Some(line))
-}
-
-/// Read one request off the stream. `Ok(None)` means the client closed
-/// the connection cleanly before sending another request.
-pub fn read_request<R: BufRead>(reader: &mut R) -> io::Result<Option<Request>> {
-    let mut budget = MAX_HEADER_BYTES;
-    let Some(line) = read_line_bounded(reader, &mut budget)? else {
-        return Ok(None);
-    };
-    let mut parts = line.split_whitespace();
-    let (method, target, version) = match (parts.next(), parts.next(), parts.next()) {
-        (Some(m), Some(t), Some(v)) => (m.to_string(), t.to_string(), v.to_string()),
-        _ => {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "bad request line",
-            ))
-        }
-    };
-
-    // Headers: we only act on Content-Length, Connection and
-    // x-ft-trace.
-    let mut content_length = 0usize;
-    // HTTP/1.1 defaults to keep-alive, HTTP/1.0 to close.
-    let mut keep_alive = version != "HTTP/1.0";
-    let mut trace = None;
-    loop {
-        let Some(header) = read_line_bounded(reader, &mut budget)? else {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "eof in headers",
-            ));
-        };
-        let header = header.trim_end();
-        if header.is_empty() {
-            break;
-        }
-        let Some((name, value)) = header.split_once(':') else {
-            continue;
-        };
-        let value = value.trim();
-        if name.eq_ignore_ascii_case("content-length") {
-            content_length = value
-                .parse()
-                .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "bad content-length"))?;
-        } else if name.eq_ignore_ascii_case("connection") {
-            keep_alive = !value.eq_ignore_ascii_case("close");
-        } else if name.eq_ignore_ascii_case("x-ft-trace") {
-            // A malformed id is ignored, not a 400: tracing is
-            // best-effort and must never fail a request.
-            trace = ft_trace::parse_trace_id(value);
-        }
-    }
-    if content_length > MAX_BODY_BYTES {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "body too large"));
-    }
-    let mut body = vec![0u8; content_length];
-    io::Read::read_exact(reader, &mut body)?;
-    let body = String::from_utf8(body)
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "body not UTF-8"))?;
-
-    let (path, query) = match target.split_once('?') {
-        Some((p, q)) => (p.to_string(), parse_query(q)),
-        None => (target, Vec::new()),
-    };
-    Ok(Some(Request {
-        method,
-        path,
-        query,
-        body,
-        keep_alive,
-        trace,
-    }))
-}
-
-/// Incremental request parse over a byte buffer (the reactor's input
-/// path — no blocking reads). Returns:
+/// Incremental request parse over a byte buffer — the only request
+/// parser; the reactor feeds it each connection's input. Returns:
 ///
 /// - `Ok(Some((request, consumed)))` — one complete request parsed
 ///   from `buf[..consumed]`; the caller drains that prefix and calls
@@ -184,8 +90,8 @@ pub fn read_request<R: BufRead>(reader: &mut R) -> io::Result<Option<Request>> {
 /// - `Ok(None)` — the buffer holds only a prefix of a request; read
 ///   more bytes and retry.
 /// - `Err(_)` — the bytes can never become a valid request (bad
-///   request line / content-length, or the same `MAX_HEADER_BYTES` /
-///   `MAX_BODY_BYTES` budgets [`read_request`] enforces).
+///   request line / content-length, a head over `MAX_HEADER_BYTES`
+///   summed across all its lines, or a body over `MAX_BODY_BYTES`).
 pub fn parse_request(buf: &[u8]) -> io::Result<Option<(Request, usize)>> {
     // Find the first empty line: headers end there, body starts after.
     let mut line_start = 0usize;
@@ -254,7 +160,8 @@ pub fn parse_request(buf: &[u8]) -> io::Result<Option<(Request, usize)>> {
         } else if name.eq_ignore_ascii_case("connection") {
             keep_alive = !value.eq_ignore_ascii_case("close");
         } else if name.eq_ignore_ascii_case("x-ft-trace") {
-            // Best-effort, as in `read_request`.
+            // A malformed id is ignored, not a 400: tracing is
+            // best-effort and must never fail a request.
             trace = ft_trace::parse_trace_id(value);
         }
     }
@@ -354,12 +261,34 @@ pub fn write_response<W: Write>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
+    use proptest::prelude::*;
 
+    /// One-shot parse of a buffer holding exactly one request.
     fn parse(raw: &str) -> Request {
-        read_request(&mut BufReader::new(raw.as_bytes()))
-            .unwrap()
-            .unwrap()
+        let (request, consumed) = parse_request(raw.as_bytes()).unwrap().unwrap();
+        assert_eq!(consumed, raw.len());
+        request
+    }
+
+    /// Everything a parse produces, in comparable form.
+    type Fields = (
+        String,
+        String,
+        Vec<(String, String)>,
+        String,
+        bool,
+        Option<u64>,
+    );
+
+    fn fields(request: &Request) -> Fields {
+        (
+            request.method.clone(),
+            request.path.clone(),
+            request.query.clone(),
+            request.body.clone(),
+            request.keep_alive,
+            request.trace,
+        )
     }
 
     #[test]
@@ -385,9 +314,8 @@ mod tests {
     }
 
     #[test]
-    fn eof_is_clean_none() {
-        let req = read_request(&mut BufReader::new(&b""[..])).unwrap();
-        assert!(req.is_none());
+    fn empty_buffer_is_incomplete() {
+        assert!(parse_request(b"").unwrap().is_none());
     }
 
     #[test]
@@ -404,16 +332,24 @@ mod tests {
     #[test]
     fn rejects_oversized_body_declaration() {
         let raw = format!("POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n", usize::MAX);
-        assert!(read_request(&mut BufReader::new(raw.as_bytes())).is_err());
+        assert!(parse_request(raw.as_bytes()).is_err());
     }
 
     #[test]
     fn newline_less_flood_errors_instead_of_buffering() {
-        // An endless byte stream with no '\n' must hit the header budget
-        // and error — not grow a String until the allocator gives up.
-        let mut reader =
-            BufReader::new(std::io::Read::take(std::io::repeat(b'a'), 64 * 1024 * 1024));
-        assert!(read_request(&mut reader).is_err());
+        // An endless byte stream with no '\n', fed the way the reactor
+        // feeds a connection, must hit the header budget and error as
+        // soon as it is over — not wait for more bytes forever.
+        let mut buf = Vec::new();
+        loop {
+            buf.extend_from_slice(&[b'a'; 1024]);
+            match parse_request(&buf) {
+                Ok(None) => assert!(buf.len() <= MAX_HEADER_BYTES),
+                Ok(Some(_)) => panic!("a newline-less flood parsed as a request"),
+                Err(_) => break,
+            }
+        }
+        assert!(buf.len() <= MAX_HEADER_BYTES + 1024);
     }
 
     #[test]
@@ -461,20 +397,6 @@ mod tests {
     }
 
     #[test]
-    fn incremental_parse_matches_blocking_reader() {
-        let raw = "POST /campaigns/3/observations?note=a%20b&x=1 HTTP/1.1\r\n\
-                   Host: localhost\r\nContent-Length: 9\r\n\r\n{\"a\": 1}\n";
-        let blocking = parse(raw);
-        let (incremental, consumed) = parse_request(raw.as_bytes()).unwrap().unwrap();
-        assert_eq!(consumed, raw.len());
-        assert_eq!(incremental.method, blocking.method);
-        assert_eq!(incremental.path, blocking.path);
-        assert_eq!(incremental.query, blocking.query);
-        assert_eq!(incremental.body, blocking.body);
-        assert_eq!(incremental.keep_alive, blocking.keep_alive);
-    }
-
-    #[test]
     fn header_budget_spans_all_header_lines() {
         // Many small header lines must exhaust the same budget.
         let mut raw = String::from("GET / HTTP/1.1\r\n");
@@ -482,6 +404,145 @@ mod tests {
             raw.push_str(&format!("X-Filler-{i}: {}\r\n", "v".repeat(64)));
         }
         raw.push_str("\r\n");
-        assert!(read_request(&mut BufReader::new(raw.as_bytes())).is_err());
+        assert!(parse_request(raw.as_bytes()).is_err());
+    }
+
+    /// A generated request: its wire bytes and the fields it must parse
+    /// to. `style` picks LF-only line ends (bit 0), an `x-ft-trace`
+    /// header (bit 1) and lower-case header names (bit 2).
+    fn generated(
+        method: usize,
+        id: u64,
+        body_len: usize,
+        keep_alive: bool,
+        style: usize,
+    ) -> (String, Fields) {
+        let eol = if style & 1 == 0 { "\r\n" } else { "\n" };
+        let method = ["GET", "POST", "DELETE", "PUT"][method];
+        let body: String = (0..body_len)
+            .map(|i| match i % 9 {
+                8 => '\n',
+                k => char::from(b'a' + ((id as usize + k) % 26) as u8),
+            })
+            .collect();
+        let (length, connection) = if style & 4 == 0 {
+            ("Content-Length", "Connection")
+        } else {
+            ("content-length", "connection")
+        };
+        let mut raw = format!(
+            "{method} /campaigns/{id}/price?remaining={}&note=a%20b%2B{id} HTTP/1.1{eol}Host: x{eol}",
+            id % 97
+        );
+        if body_len > 0 {
+            raw.push_str(&format!("{length}: {body_len}{eol}"));
+        }
+        if !keep_alive {
+            raw.push_str(&format!("{connection}: close{eol}"));
+        }
+        let trace = (style & 2 != 0).then_some(id);
+        if let Some(trace) = trace {
+            raw.push_str(&format!("x-ft-trace: {trace:x}{eol}"));
+        }
+        raw.push_str(eol);
+        raw.push_str(&body);
+        let expected = (
+            method.to_string(),
+            format!("/campaigns/{id}/price"),
+            vec![
+                ("remaining".to_string(), (id % 97).to_string()),
+                ("note".to_string(), format!("a b+{id}")),
+            ],
+            body,
+            keep_alive,
+            trace,
+        );
+        (raw, expected)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn pipelined_requests_parse_the_same_at_any_split(
+            requests in proptest::collection::vec(
+                (0usize..4, 1u64..1_000_000, 0usize..200, proptest::bool::ANY, 0usize..8),
+                1..6,
+            ),
+            cuts in proptest::collection::vec(0usize..4096, 0..8),
+        ) {
+            let mut raw = Vec::new();
+            let mut expected = Vec::new();
+            for &(method, id, body_len, keep_alive, style) in &requests {
+                let (bytes, fields) = generated(method, id, body_len, keep_alive, style);
+                raw.extend_from_slice(bytes.as_bytes());
+                expected.push(fields);
+            }
+
+            // One shot: the whole burst is in the buffer.
+            let mut one_shot = Vec::new();
+            let mut at = 0;
+            while at < raw.len() {
+                let Some((request, consumed)) = parse_request(&raw[at..]).unwrap() else {
+                    break;
+                };
+                one_shot.push(fields(&request));
+                at += consumed;
+            }
+            prop_assert_eq!(at, raw.len());
+            prop_assert_eq!(&one_shot, &expected);
+
+            // Incremental: the same bytes arrive in pieces cut at
+            // arbitrary points, and the buffer is drained the way the
+            // reactor drains a connection's input.
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c % (raw.len() + 1)).collect();
+            cuts.push(raw.len());
+            cuts.sort_unstable();
+            let mut buf = Vec::new();
+            let mut pieced = Vec::new();
+            let mut from = 0;
+            for cut in cuts {
+                buf.extend_from_slice(&raw[from..cut]);
+                from = cut;
+                while let Some((request, consumed)) = parse_request(&buf).unwrap() {
+                    pieced.push(fields(&request));
+                    buf.drain(..consumed);
+                }
+            }
+            prop_assert!(buf.is_empty(), "{} bytes left unparsed", buf.len());
+            prop_assert_eq!(&pieced, &one_shot);
+        }
+
+        #[test]
+        fn garbage_and_oversize_input_errs_without_panicking(
+            noise in proptest::collection::vec(0u8..255, 0..600),
+            filler in 1usize..40,
+            kind in 0usize..4,
+        ) {
+            // Arbitrary bytes may be incomplete, but never panic and
+            // never claim more than they hold.
+            if let Ok(Some((_, consumed))) = parse_request(&noise) {
+                prop_assert!(consumed <= noise.len());
+            }
+
+            let token: String = noise.iter().map(|b| char::from(b'!' + b % 94)).collect();
+            let raw = match kind {
+                // A request line that is one token long.
+                0 => format!("{token}\r\n\r\n"),
+                // A head over the budget, spread across `filler` lines.
+                1 => {
+                    let line = format!("X-Filler: {}\r\n", "v".repeat(MAX_HEADER_BYTES / filler));
+                    format!("GET / HTTP/1.1\r\n{}\r\n", line.repeat(filler))
+                }
+                // A declared body over the budget.
+                2 => format!(
+                    "POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n{token}",
+                    MAX_BODY_BYTES + 1 + noise.len()
+                ),
+                // A content length that is not a number.
+                _ => format!("POST / HTTP/1.1\r\nContent-Length: x{token}\r\n\r\n"),
+            };
+            prop_assert!(parse_request(raw.as_bytes()).is_err(), "accepted {raw:?}");
+        }
     }
 }

@@ -57,6 +57,7 @@ pub mod state;
 mod sys;
 
 pub use client::Client;
+pub use reactor::{LoopTelemetry, Service};
 pub use router::{handle, status_for};
-pub use server::{Server, ServerConfig, ServerHandle};
+pub use server::{spawn_service, Server, ServerConfig, ServerHandle};
 pub use state::{AppState, Endpoint};

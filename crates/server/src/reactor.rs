@@ -1,6 +1,9 @@
-//! The epoll-driven serving tier: one event-loop thread multiplexing
+//! The epoll-driven serving loop: one event-loop thread multiplexing
 //! every connection, a bounded ready-queue of **parsed requests**, and
-//! the fixed worker pool executing handlers off the loop.
+//! the fixed worker pool executing handlers off the loop. It is the one
+//! HTTP serving loop in the workspace: what it serves is a [`Service`]
+//! — a node's registry routes ([`crate::AppState`]) or the fleet
+//! router's proxy.
 //!
 //! ```text
 //!        epoll (edge-triggered conns, level-triggered listener)
@@ -10,7 +13,7 @@
 //!          ▲                                        │ pop
 //!          │ wake pipe + completions                ▼
 //!          └──────────────────────────────── worker threads
-//!                                             (router::handle)
+//!                                           (Service::handle)
 //! ```
 //!
 //! Per connection the reactor keeps a small state machine: an input
@@ -32,10 +35,9 @@
 //! after a short grace.
 
 use crate::http::{parse_request, write_response, Request, Response};
-use crate::router;
 use crate::server::ServerConfig;
-use crate::state::AppState;
 use crate::sys::{Epoll, EpollEvent, EPOLLERR, EPOLLET, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
+use ft_metrics::{Counter, Gauge, Histogram};
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -59,6 +61,43 @@ const READ_CHUNK: usize = 16 * 1024;
 /// stopped reading, a handler still running) are force-dropped past
 /// this grace so `serve()` returns promptly.
 const DRAIN_GRACE: Duration = Duration::from_secs(5);
+
+/// What the loop serves.
+pub trait Service: Sync {
+    /// Per-worker state, built once on each worker thread (a node needs
+    /// none; the router keeps its backend connections here).
+    type Worker;
+
+    fn worker(&self) -> Self::Worker;
+
+    /// Answer one request. `queue_wait` is how long it sat in the
+    /// ready-queue after parsing; the loop has already recorded it into
+    /// [`LoopTelemetry::queue_wait`].
+    fn handle(
+        &self,
+        worker: &mut Self::Worker,
+        request: &Request,
+        queue_wait: Duration,
+    ) -> Response;
+
+    /// The connection and queue-wait instruments the loop records.
+    fn telemetry(&self) -> &LoopTelemetry;
+}
+
+/// The loop's own instruments, registered by each tier under its own
+/// metric prefix.
+pub struct LoopTelemetry {
+    /// Every accepted connection, admitted or not.
+    pub connections_accepted: Arc<Counter>,
+    /// Connections turned away over `max_connections`, plus requests
+    /// answered `503` because the ready-queue was full.
+    pub connections_rejected: Arc<Counter>,
+    pub connections_active: Arc<Gauge>,
+    /// Ready-queue hand-off latency: time from a request being parsed
+    /// on the reactor to a worker picking it up. Separates tier wait
+    /// from handler latency in `/metrics`.
+    pub queue_wait: Arc<Histogram>,
+}
 
 /// One parsed request on its way to a worker.
 struct Job {
@@ -235,15 +274,15 @@ enum Verdict {
     Drop,
 }
 
-/// Run the serving loop until shutdown. The calling thread becomes the
-/// reactor; `config.workers` handler threads are spawned scoped inside
-/// (total thread count: `1 + workers`, exactly like the old acceptor
-/// pool).
-pub(crate) fn run(
+/// Run the serving loop until `shutdown` is raised (whoever raises it
+/// also pokes the listener, so a parked wait wakes). The calling thread
+/// becomes the reactor; `config.workers` handler threads are spawned
+/// scoped inside (total thread count: `1 + workers`).
+pub(crate) fn run<S: Service>(
     listener: TcpListener,
-    state: Arc<AppState>,
-    config: ServerConfig,
-    shutdown: Arc<AtomicBool>,
+    service: &S,
+    config: &ServerConfig,
+    shutdown: &AtomicBool,
 ) {
     let epoll = Epoll::new().expect("epoll_create1");
     listener
@@ -264,44 +303,25 @@ pub(crate) fn run(
     let jobs = JobQueue::new(config.queue_depth);
     let completions: Arc<Mutex<Vec<Completion>>> = Arc::new(Mutex::new(Vec::new()));
     let workers = config.workers.max(1);
+    let telemetry = service.telemetry();
 
     std::thread::scope(|s| {
         for _ in 0..workers {
             let jobs = &jobs;
-            let state = &state;
             let completions = Arc::clone(&completions);
             let wake = Arc::clone(&wake_tx);
-            let closing = &*shutdown;
             s.spawn(move || {
+                let mut worker = service.worker();
                 while let Some(job) = jobs.pop() {
                     let queue_wait = job.queued_at.elapsed();
-                    state.telemetry.queue_wait.record_duration(queue_wait);
-                    // Trace when the client asked for it (x-ft-trace)
-                    // or on the organic 1-in-1024 sample. The root span
-                    // is backdated to when the request was parsed, so
-                    // the tier hand-off shows up as a `queue_wait`
-                    // child instead of vanishing between spans.
-                    let trace_id = job
-                        .request
-                        .trace
-                        .or_else(|| ft_trace::sample(1024).then(ft_trace::next_trace_id));
-                    let dequeued_ns = ft_trace::now_ns();
-                    let queued_ns = dequeued_ns
-                        .saturating_sub(u64::try_from(queue_wait.as_nanos()).unwrap_or(u64::MAX));
-                    let root = ft_trace::begin_at(
-                        trace_id.unwrap_or(0),
-                        "server.request.serve",
-                        queued_ns,
-                    );
-                    ft_trace::record("server.reactor.queue_wait", queued_ns, dequeued_ns);
-                    let response = router::handle(state, &job.request);
-                    drop(root);
+                    telemetry.queue_wait.record_duration(queue_wait);
+                    let response = service.handle(&mut worker, &job.request, queue_wait);
                     // During shutdown, answer the request in hand but
                     // decline the keep-alive so the connection closes.
                     // ORDERING: Acquire pairs with the Release store in
                     // `ServerHandle::shutdown` — seeing the flag also
                     // sees any state the shutdown caller settled first.
-                    let keep_alive = job.request.keep_alive && !closing.load(Ordering::Acquire);
+                    let keep_alive = job.request.keep_alive && !shutdown.load(Ordering::Acquire);
                     completions
                         .lock()
                         // Poisoning policy (ft-audit L5): a panicking
@@ -324,8 +344,8 @@ pub(crate) fn run(
         let mut reactor = Reactor {
             epoll: &epoll,
             listener: &listener,
-            state: &state,
-            config: &config,
+            telemetry,
+            config,
             jobs: &jobs,
             conns: HashMap::new(),
             next_token: FIRST_CONN_TOKEN,
@@ -377,7 +397,7 @@ pub(crate) fn run(
 struct Reactor<'a> {
     epoll: &'a Epoll,
     listener: &'a TcpListener,
-    state: &'a AppState,
+    telemetry: &'a LoopTelemetry,
     config: &'a ServerConfig,
     jobs: &'a JobQueue,
     conns: HashMap<u64, Conn>,
@@ -428,9 +448,9 @@ impl Reactor<'_> {
                     break;
                 }
             };
-            self.state.telemetry.connections_accepted.inc();
+            self.telemetry.connections_accepted.inc();
             if self.conns.len() >= self.config.max_connections {
-                self.state.telemetry.connections_rejected.inc();
+                self.telemetry.connections_rejected.inc();
                 reject_busy(stream);
                 continue;
             }
@@ -454,7 +474,7 @@ impl Reactor<'_> {
             {
                 continue;
             }
-            self.state.telemetry.connections_active.inc();
+            self.telemetry.connections_active.inc();
             self.conns.insert(
                 token,
                 Conn::new(stream, now + self.config.first_request_timeout),
@@ -474,7 +494,7 @@ impl Reactor<'_> {
             return;
         }
         if readiness & (EPOLLIN | EPOLLRDHUP) != 0
-            && Self::read_and_parse(conn, token, self.jobs, self.state, self.config, now)
+            && Self::read_and_parse(conn, token, self.jobs, self.telemetry, self.config, now)
                 == Verdict::Drop
         {
             self.drop_conn(token);
@@ -490,7 +510,7 @@ impl Reactor<'_> {
         conn: &mut Conn,
         token: u64,
         jobs: &JobQueue,
-        state: &AppState,
+        telemetry: &LoopTelemetry,
         config: &ServerConfig,
         now: Instant,
     ) -> Verdict {
@@ -528,7 +548,7 @@ impl Reactor<'_> {
                             // contract answers 503 at this request's
                             // slot and closes the connection after the
                             // in-order flush.
-                            state.telemetry.connections_rejected.inc();
+                            telemetry.connections_rejected.inc();
                             conn.pending.push((
                                 job.seq,
                                 Outbound {
@@ -681,7 +701,7 @@ impl Reactor<'_> {
     fn drop_conn(&mut self, token: u64) {
         if let Some(conn) = self.conns.remove(&token) {
             let _ = self.epoll.delete(conn.stream.as_raw_fd());
-            self.state.telemetry.connections_active.dec();
+            self.telemetry.connections_active.dec();
         }
     }
 }

@@ -23,8 +23,15 @@
 //! (`ft_server_connections_{accepted,rejected}_total`,
 //! `ft_server_connections_active`), and the queue hand-off latency is
 //! measured as `ft_server_queue_wait_ns`.
+//!
+//! The loop is generic over a [`Service`]; [`AppState`] is the node's.
+//! [`spawn_service`] serves any other service — the fleet router's
+//! proxy — through the same loop, so the workspace has one serving
+//! thread per tier and one spawn site for it.
 
-use crate::reactor;
+use crate::http::{Request, Response};
+use crate::reactor::{self, LoopTelemetry, Service};
+use crate::router;
 use crate::state::AppState;
 use ft_core::registry::CampaignRegistry;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -170,7 +177,7 @@ impl Server {
     /// flushes in-flight responses, and force-drops stragglers after a
     /// short grace.
     pub fn serve(self) {
-        reactor::run(self.listener, self.state, self.config, self.shutdown);
+        reactor::run(self.listener, &*self.state, &self.config, &self.shutdown);
     }
 
     /// Bind + serve on a background thread; returns the handle and the
@@ -189,8 +196,52 @@ impl Server {
         config: ServerConfig,
     ) -> std::io::Result<(ServerHandle, JoinHandle<()>)> {
         let server = Self::bind_with(addr, registry, config)?;
-        let handle = server.handle();
-        let join = std::thread::spawn(move || server.serve());
-        Ok((handle, join))
+        spawn_service(server.listener, server.state, config)
+    }
+}
+
+/// Serve `service` on `listener` from a background thread until the
+/// returned handle's [`ServerHandle::shutdown`]; join the thread after
+/// that for a clean exit. Every reactor setting comes from `config`.
+pub fn spawn_service<S: Service + Send + 'static>(
+    listener: TcpListener,
+    service: Arc<S>,
+    config: ServerConfig,
+) -> std::io::Result<(ServerHandle, JoinHandle<()>)> {
+    let handle = ServerHandle {
+        addr: listener.local_addr()?,
+        shutdown: Arc::new(AtomicBool::new(false)),
+    };
+    let shutdown = Arc::clone(&handle.shutdown);
+    let join = std::thread::spawn(move || reactor::run(listener, &*service, &config, &shutdown));
+    Ok((handle, join))
+}
+
+/// A node serves the registry routes.
+impl Service for AppState {
+    type Worker = ();
+
+    fn worker(&self) {}
+
+    fn handle(&self, _: &mut (), request: &Request, queue_wait: Duration) -> Response {
+        // Trace when the client asked for it (x-ft-trace) or on the
+        // organic 1-in-1024 sample. The root span is backdated to when
+        // the request was parsed, so the tier hand-off shows up as a
+        // `queue_wait` child instead of vanishing between spans.
+        let trace_id = request
+            .trace
+            .or_else(|| ft_trace::sample(1024).then(ft_trace::next_trace_id));
+        let dequeued_ns = ft_trace::now_ns();
+        let queued_ns =
+            dequeued_ns.saturating_sub(u64::try_from(queue_wait.as_nanos()).unwrap_or(u64::MAX));
+        let root = ft_trace::begin_at(trace_id.unwrap_or(0), "server.request.serve", queued_ns);
+        ft_trace::record("server.reactor.queue_wait", queued_ns, dequeued_ns);
+        let response = router::handle(self, request);
+        drop(root);
+        response
+    }
+
+    fn telemetry(&self) -> &LoopTelemetry {
+        &self.telemetry.serving
     }
 }

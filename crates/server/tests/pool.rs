@@ -5,7 +5,7 @@
 //! index pages, and `/metrics` reflects what the server actually did,
 //! in both formats.
 
-use ft_core::registry::CampaignRegistry;
+use ft_core::registry::{CampaignRegistry, CampaignSpec};
 use ft_core::{DeadlineProblem, PenaltyModel};
 use ft_market::{ConstantRate, LogitAcceptance, PriceGrid};
 use ft_server::{Server, ServerConfig};
@@ -13,7 +13,7 @@ use serde::{map_get, Serialize, Value};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn request(addr: SocketAddr, method: &str, path: &str, body: Option<&str>) -> (u16, Value) {
     let (status, body) = ft_server::client::request(addr, method, path, body).expect("request");
@@ -75,21 +75,38 @@ fn hold_keep_alive(addr: SocketAddr) -> TcpStream {
     stream
 }
 
-/// A deadline problem big enough that its solve occupies a worker for
-/// a while (hundreds of ms in debug builds) — the reactor multiplexes
-/// idle sockets off the workers, so only genuinely slow *requests* can
-/// saturate the pool.
+/// A deadline problem whose solve occupies a worker for at least a
+/// second on this build and host — the reactor multiplexes idle sockets
+/// off the workers, so only genuinely slow *requests* can saturate the
+/// pool, and the flood below must land while the first solve still
+/// holds the only worker. Solve cost grows with the arrival rate (longer
+/// pmf rows), so double it until one in-process solve takes that long:
+/// a fixed size that is slow in a debug build finishes within the
+/// test's settling sleeps under `--release`.
 fn slow_problem_json() -> String {
-    let problem = DeadlineProblem::from_market(
-        20_000,
-        2.0,
-        120,
-        &ConstantRate::new(80.0),
-        PriceGrid::new(0, 150),
-        &LogitAcceptance::new(4.0, 0.0, 30.0),
-        PenaltyModel::Linear { per_task: 300.0 },
-    );
-    serde_json::to_string(&problem.to_value()).expect("problem json")
+    let mut rate = 100.0;
+    loop {
+        let problem = DeadlineProblem::from_market(
+            2_000,
+            2.0,
+            120,
+            &ConstantRate::new(rate),
+            PriceGrid::new(0, 1500),
+            &LogitAcceptance::new(4.0, 0.0, 30.0),
+            PenaltyModel::Linear { per_task: 300.0 },
+        );
+        let registry = CampaignRegistry::new();
+        let id = registry.register(CampaignSpec::Deadline {
+            problem: problem.clone(),
+            eps: None,
+        });
+        let started = Instant::now();
+        registry.solve(id).expect("calibration solve");
+        if started.elapsed() >= Duration::from_secs(1) {
+            return serde_json::to_string(&problem.to_value()).expect("problem json");
+        }
+        rate *= 2.0;
+    }
 }
 
 /// Fire a request without reading the response: the connection stays
